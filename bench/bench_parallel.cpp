@@ -152,7 +152,6 @@ int run(const BenchOptions& options) {
         scenario::ScenarioSpec::from_config(scenario::Config::parse_string(kConfig));
     spec.parallel.shards = 8;
     spec.telemetry.enabled = true;
-    spec.telemetry.interval = options.telemetry_interval;
     spec.telemetry.artifact = options.telemetry_path;
     spec.telemetry.include = {"sim.parallel"};
     scenario::Scenario sc(std::move(spec));

@@ -11,7 +11,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -19,7 +18,6 @@
 #include "net/system.hpp"
 #include "obs/profiler.hpp"
 #include "obs/report.hpp"
-#include "obs/timeseries.hpp"
 #include "obs/tracer.hpp"
 
 namespace nectar::bench {
@@ -31,37 +29,16 @@ namespace nectar::bench {
 ///                       folded-stack output (flamegraph.pl / speedscope input).
 ///                       Profiling charges no simulated time, so --profile does
 ///                       not change any reported numbers.
-///   --telemetry <path>  sample every metric on a sim-clock cadence during the
-///                       run and write the "nectar-timeseries" artifact (see
+///   --telemetry <path>  sample every metric every 10 ms of simulated time
+///                       and write the "nectar-timeseries" artifact (see
 ///                       docs/OBSERVABILITY.md). Sampling is pull-based, so a
 ///                       single-shard run's event stream is unchanged.
-///   --telemetry-interval <time>  sample cadence (default 10ms sim time);
-///                       accepts ns/us/ms/s suffixes via sim::parse_time-style
-///                       integers ("10ms" is parsed by the Telemetry helper).
 struct BenchOptions {
   std::string json_path;
   std::string trace_path;
   std::string profile_path;
   std::string telemetry_path;
-  sim::SimTime telemetry_interval = sim::msec(10);
 };
-
-inline sim::SimTime parse_interval(const std::string& text) {
-  // "500us" / "10ms" / "1s" / plain ns count.
-  std::size_t pos = 0;
-  long long v = std::stoll(text, &pos);
-  std::string unit = text.substr(pos);
-  if (v <= 0) {
-    std::fprintf(stderr, "error: --telemetry-interval must be positive\n");
-    std::exit(2);
-  }
-  if (unit.empty() || unit == "ns") return v;
-  if (unit == "us") return v * sim::kMicrosecond;
-  if (unit == "ms") return v * sim::kMillisecond;
-  if (unit == "s") return v * sim::kSecond;
-  std::fprintf(stderr, "error: bad interval unit '%s' (want ns|us|ms|s)\n", unit.c_str());
-  std::exit(2);
-}
 
 inline BenchOptions parse_options(int argc, char** argv) {
   BenchOptions o;
@@ -75,12 +52,10 @@ inline BenchOptions parse_options(int argc, char** argv) {
       o.profile_path = argv[++i];
     } else if (a == "--telemetry" && i + 1 < argc) {
       o.telemetry_path = argv[++i];
-    } else if (a == "--telemetry-interval" && i + 1 < argc) {
-      o.telemetry_interval = parse_interval(argv[++i]);
     } else {
       std::fprintf(stderr,
                    "usage: %s [--json <path>] [--trace <path>] [--profile <path>]"
-                   " [--telemetry <path>] [--telemetry-interval <time>]\n",
+                   " [--telemetry <path>]\n",
                    argv[0]);
       std::exit(2);
     }
@@ -127,66 +102,6 @@ inline void finish_trace(const std::string& path, const obs::Tracer& tracer) {
   }
   std::printf("wrote %s (%zu events)\n", path.c_str(), tracer.events().size());
 }
-
-/// Continuous telemetry for a bench run. Construct after the system is
-/// built; call run_until() instead of net.run_until() for the measured
-/// stretch; call finish() at the end. When --telemetry was not given every
-/// method degenerates to the plain run (no sampler exists, no probes are
-/// registered), so committed bench reports are unaffected.
-class Telemetry {
- public:
-  Telemetry(const BenchOptions& o, net::Network& net, std::string name)
-      : net_(net),
-        name_(std::move(name)),
-        path_(o.telemetry_path),
-        interval_(o.telemetry_interval) {
-    if (path_.empty()) return;
-    net_.register_substrate_metrics();
-    obs::Sampler::Options sopt;
-    sopt.interval = interval_;
-    sampler_ = std::make_unique<obs::Sampler>(net_.metrics(), sopt);
-    last_ = net_.engine().now();
-    sampler_->sample(last_);
-  }
-
-  bool enabled() const { return sampler_ != nullptr; }
-  obs::Sampler* sampler() { return sampler_.get(); }
-
-  /// Advance the network clock to `t`, sampling every interval along the
-  /// way. Pull-based: with one shard the event stream is exactly the
-  /// untelemetered run's; with more shards the stepping caps synchronization
-  /// windows (still deterministic for a fixed seed/shards/interval).
-  void run_until(sim::SimTime t) {
-    if (sampler_ == nullptr) {
-      net_.run_until(t);
-      return;
-    }
-    while (last_ < t) {
-      last_ = std::min(last_ + interval_, t);
-      net_.run_until(last_);
-      sampler_->sample(last_);
-    }
-  }
-
-  /// Write the artifact if telemetry is on; exits non-zero on I/O failure.
-  void finish() {
-    if (sampler_ == nullptr || path_.empty()) return;
-    if (!sampler_->write(path_, name_)) {
-      std::fprintf(stderr, "error: cannot write telemetry to %s\n", path_.c_str());
-      std::exit(1);
-    }
-    std::printf("wrote %s (%zu samples, %zu series)\n", path_.c_str(), sampler_->samples(),
-                sampler_->series_count());
-  }
-
- private:
-  net::Network& net_;
-  std::string name_;
-  std::string path_;
-  sim::SimTime interval_;
-  sim::SimTime last_ = 0;
-  std::unique_ptr<obs::Sampler> sampler_;
-};
 
 inline std::vector<std::uint8_t> pattern(std::size_t n) {
   std::vector<std::uint8_t> v(n);

@@ -1,0 +1,14 @@
+# Run one scenario and require its --json report to match a committed report
+# byte for byte. Invoked by ctest (see CMakeLists.txt here):
+#
+#   cmake -DRUNNER=<scenario_runner> -DINI=<config.ini> -DOUT=<fresh.json>
+#         -DCOMMITTED=<BENCH_*.json> -P check_golden.cmake
+execute_process(COMMAND ${RUNNER} ${INI} --json ${OUT} RESULT_VARIABLE rc OUTPUT_QUIET)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "scenario_runner ${INI} failed (${rc})")
+endif()
+execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files ${OUT} ${COMMITTED}
+                RESULT_VARIABLE differs)
+if(NOT differs EQUAL 0)
+  message(FATAL_ERROR "${OUT} differs from ${COMMITTED}")
+endif()

@@ -112,9 +112,7 @@ int main(int argc, char** argv) {
 
     std::printf("scenario %s: %d nodes (%s), %zu workload(s), %zu fault(s), seed %llu\n",
                 spec.name.c_str(), spec.topology.nodes,
-                spec.topology.kind == scenario::TopologyKind::Star        ? "star"
-                : spec.topology.kind == scenario::TopologyKind::DualHub   ? "dual_hub"
-                                                                          : "fat_tree",
+                scenario::name_of(scenario::kTopologyKinds, spec.topology.kind),
                 spec.workloads.size(), spec.faults.size(),
                 static_cast<unsigned long long>(spec.seed));
 

@@ -68,12 +68,14 @@ void CabMemory::write32(CabAddr a, std::uint32_t v) {
 
 void CabMemory::read(CabAddr a, std::span<std::uint8_t> out) const {
   check(a, out.size());
+  if (out.empty()) return;  // an empty span's data() may be null: no memcpy
   std::memcpy(out.data(), bytes_.data() + a, out.size());
 }
 
 void CabMemory::write(CabAddr a, std::span<const std::uint8_t> in) {
   check(a, in.size());
   if (in_prom(a, in.size())) throw std::logic_error("CabMemory: write to PROM");
+  if (in.empty()) return;
   std::memcpy(bytes_.data() + a, in.data(), in.size());
 }
 

@@ -21,8 +21,10 @@
 // but are trimmed at the ends. Parse errors throw std::runtime_error with a
 // line number.
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -30,6 +32,34 @@
 #include "sim/time.hpp"
 
 namespace nectar::scenario {
+
+/// One enum value's spelling in a config file. An enum's array of these is
+/// its only name list: parsing, printing and the error text all read it.
+template <class E>
+struct Named {
+  E value;
+  const char* name;
+};
+
+/// The value `text` names in `table`; otherwise throws std::invalid_argument
+/// "<what> '<text>' (want a | b | c)".
+template <class E, std::size_t N>
+E parse_name(const Named<E> (&table)[N], const std::string& text, const std::string& what) {
+  std::string want;
+  for (const Named<E>& n : table) {
+    if (text == n.name) return n.value;
+    want += (want.empty() ? "" : " | ") + std::string(n.name);
+  }
+  throw std::invalid_argument(what + " '" + text + "' (want " + want + ")");
+}
+
+template <class E, std::size_t N>
+const char* name_of(const Named<E> (&table)[N], E value) {
+  for (const Named<E>& n : table) {
+    if (n.value == value) return n.name;
+  }
+  return "?";
+}
 
 /// One `[name]` block: an ordered bag of key=value pairs.
 struct Section {

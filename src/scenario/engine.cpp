@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <fstream>
+#include <functional>
+#include <sstream>
 #include <stdexcept>
+#include <type_traits>
 
 #include "sim/random.hpp"
 
@@ -10,37 +13,231 @@ namespace nectar::scenario {
 
 namespace {
 
-/// Reject typo'd keys: every section's vocabulary is closed.
-void check_keys(const Section& s, std::initializer_list<const char*> allowed) {
+/// A duration member: sim::SimTime is std::int64_t, so a duration row needs
+/// its own type to parse "5ms" rather than a bare integer.
+template <class Spec>
+struct Time {
+  sim::SimTime Spec::*member;
+};
+
+/// One INI key and the spec member it sets.
+template <class Spec>
+struct Key {
+  using Setter = std::function<void(const Section&, const char* key, Spec&)>;
+
+  /// A string, bool, floating-point or integer member.
+  template <class T>
+  Key(const char* n, T Spec::*m)
+      : name(n), set([m](const Section& s, const char* k, Spec& spec) {
+          T& v = spec.*m;
+          if constexpr (std::is_same_v<T, std::string>) {
+            v = s.get(k, v);
+          } else if constexpr (std::is_same_v<T, bool>) {
+            v = s.get_bool(k, v);
+          } else if constexpr (std::is_floating_point_v<T>) {
+            v = s.get_double(k, v);
+          } else {
+            static_assert(std::is_integral_v<T>, "an enum member needs a name table");
+            v = static_cast<T>(s.get_int(k, static_cast<std::int64_t>(v)));
+          }
+        }) {}
+  Key(const char* n, Time<Spec> t)
+      : name(n), set([m = t.member](const Section& s, const char* k, Spec& spec) {
+          spec.*m = s.get_time(k, spec.*m);
+        }) {}
+  /// An enum member, spelled as in `names`. A required key has no default:
+  /// leaving it out fails like a misspelled name.
+  template <class E, std::size_t N>
+  Key(const char* n, E Spec::*m, const Named<E> (&names)[N], bool required = false)
+      : name(n), set([m, &names, required](const Section& s, const char* k, Spec& spec) {
+          if (!required && !s.has(k)) return;
+          spec.*m = parse_name(names, s.get(k), s.name + ": unknown " + k);
+        }) {}
+  Key(const char* n, Setter f) : name(n), set(std::move(f)) {}
+
+  const char* name;
+  Setter set;
+};
+
+/// A section's whole vocabulary, one row per key.
+template <class Spec>
+struct Table {
+  const char* section;
+  std::vector<Key<Spec>> keys;
+};
+
+/// Set every member whose key `s` has (absent keys keep the spec's default)
+/// and reject any key the table does not name.
+template <class Spec>
+void bind(const Section& s, const Table<Spec>& table, Spec& spec) {
   for (const auto& [key, value] : s.values) {
-    bool ok = false;
-    for (const char* a : allowed) {
-      if (key == a) {
-        ok = true;
-        break;
-      }
-    }
-    if (!ok) {
+    auto named = [&key](const Key<Spec>& k) { return key == k.name; };
+    if (std::none_of(table.keys.begin(), table.keys.end(), named)) {
       throw std::runtime_error("config: unknown key '" + key + "' in section [" + s.name + "]");
     }
   }
+  for (const Key<Spec>& k : table.keys) k.set(s, k.name, spec);
 }
 
-const char* kind_name(TopologyKind k) {
-  switch (k) {
-    case TopologyKind::Star: return "star";
-    case TopologyKind::DualHub: return "dual_hub";
-    case TopologyKind::FatTree: return "fat_tree";
-  }
-  return "?";
+template <class Spec>
+void bind_first(const Config& cfg, const Table<Spec>& table, Spec& spec) {
+  if (const Section* s = cfg.find(table.section)) bind(*s, table, spec);
 }
 
-obs::PcapWriter::Format parse_capture_format(const std::string& name) {
-  if (name == "raw_ip") return obs::PcapWriter::Format::RawIp;
-  if (name == "datalink") return obs::PcapWriter::Format::DatalinkFrame;
-  throw std::invalid_argument("capture: unknown format '" + name +
-                              "' (want raw_ip | datalink)");
-}
+const Table<ScenarioSpec> kScenarioKeys{"scenario", {
+    {"name", &ScenarioSpec::name},
+    {"seed", &ScenarioSpec::seed},
+    {"duration", Time{&ScenarioSpec::duration}},
+    {"tcp_congestion", &ScenarioSpec::tcp_congestion},
+    {"software_checksum", &ScenarioSpec::software_checksum},
+    {"mtu", &ScenarioSpec::mtu},
+    {"substrate_metrics", &ScenarioSpec::substrate_metrics},
+    {"attach_metrics", &ScenarioSpec::attach_metrics},
+}};
+
+const Table<TopologySpec> kTopologyKeys{"topology", {
+    {"kind", &TopologySpec::kind, kTopologyKinds},
+    {"nodes", &TopologySpec::nodes},
+    {"hub_ports", &TopologySpec::hub_ports},
+    {"trunks", &TopologySpec::trunks},
+    {"spines", &TopologySpec::spines},
+    {"with_vme", &TopologySpec::with_vme},
+    {"trunk_propagation", Time{&TopologySpec::trunk_propagation}},
+    {"route_spread", &TopologySpec::route_spread},
+}};
+
+const Table<ParallelSpec> kParallelKeys{"parallel", {
+    {"shards", &ParallelSpec::shards},
+    {"partition", &ParallelSpec::partition},
+}};
+
+const Table<WorkloadSpec> kWorkloadKeys{"workload", {
+    {"name", &WorkloadSpec::name},
+    {"proto", &WorkloadSpec::proto, kProtos},
+    {"mode", &WorkloadSpec::mode, kModes},
+    {"users", &WorkloadSpec::users},
+    {"rate", &WorkloadSpec::rate},
+    {"think", Time{&WorkloadSpec::think}},
+    // `size` sets both bounds; size_min / size_max, bound after it, refine.
+    {"size",
+     [](const Section& s, const char* k, WorkloadSpec& w) {
+       w.size_min = w.size_max = static_cast<std::uint32_t>(s.get_int(k, w.size_min));
+     }},
+    {"size_min", &WorkloadSpec::size_min},
+    {"size_max", &WorkloadSpec::size_max},
+    {"stride", &WorkloadSpec::stride},
+    {"start", Time{&WorkloadSpec::start}},
+    {"port", &WorkloadSpec::port},
+}};
+
+const Table<route::RoutingConfig> kRoutingKeys{"routing", {
+    {"enabled", &route::RoutingConfig::enabled},
+    {"paths", &route::RoutingConfig::paths},
+    {"probe_interval", Time{&route::RoutingConfig::probe_interval}},
+    {"probe_timeout", Time{&route::RoutingConfig::probe_timeout}},
+    {"suspect_after", &route::RoutingConfig::suspect_after},
+    {"dead_after", &route::RoutingConfig::dead_after},
+    {"recover_after", &route::RoutingConfig::recover_after},
+    {"dead_backoff", &route::RoutingConfig::dead_backoff},
+    {"revert", &route::RoutingConfig::revert},
+}};
+
+const Table<CollectivesSpec> kCollectivesKeys{"collectives", {
+    {"enabled", &CollectivesSpec::enabled},
+    {"mode", &CollectivesSpec::mode},
+    {"op", &CollectivesSpec::op},
+    {"algorithm", &CollectivesSpec::algorithm},
+    {"reduce", &CollectivesSpec::reduce},
+    {"payload", &CollectivesSpec::payload},
+    {"iterations", &CollectivesSpec::iterations},
+    {"interval", Time{&CollectivesSpec::interval}},
+    {"fanout", &CollectivesSpec::fanout},
+    {"timeout", Time{&CollectivesSpec::timeout}},
+    {"retransmit", Time{&CollectivesSpec::retransmit}},
+    {"multicast", &CollectivesSpec::multicast},
+}};
+
+const Table<SessionsSpec> kSessionsKeys{"sessions", {
+    {"enabled", &SessionsSpec::enabled},
+    {"trunks", &SessionsSpec::trunks},
+    {"channels", &SessionsSpec::channels},
+    {"trunk_proto", &SessionsSpec::trunk_proto},
+    {"stride", &SessionsSpec::stride},
+    {"rate", &SessionsSpec::rate},
+    {"size", &SessionsSpec::size},
+    {"start", Time{&SessionsSpec::start}},
+    {"warmup", Time{&SessionsSpec::warmup}},
+    {"classes", &SessionsSpec::classes},
+    {"weight_spread", &SessionsSpec::weight_spread},
+    {"initial_credit", &SessionsSpec::initial_credit},
+    {"credit_refresh", &SessionsSpec::credit_refresh},
+    {"send_window", &SessionsSpec::send_window},
+    {"max_batch", &SessionsSpec::max_batch},
+    {"max_channels", &SessionsSpec::max_channels},
+    {"rmp_queue_cap", &SessionsSpec::rmp_queue_cap},
+    {"aggregation", Time{&SessionsSpec::aggregation}},
+    {"fail_timeout", Time{&SessionsSpec::fail_timeout}},
+    {"churn_rate", &SessionsSpec::churn_rate},
+    {"churn_start", Time{&SessionsSpec::churn_start}},
+    {"churn_duration", Time{&SessionsSpec::churn_duration}},
+    {"stall_at", Time{&SessionsSpec::stall_at}},
+    {"stall_duration", Time{&SessionsSpec::stall_duration}},
+    {"stall_channels", &SessionsSpec::stall_channels},
+    {"probe_channels", &SessionsSpec::probe_channels},
+}};
+
+const Table<CaptureSpec> kCaptureKeys{"capture", {
+    {"element", &CaptureSpec::element},
+    {"file", &CaptureSpec::file},
+    {"format", &CaptureSpec::format},
+}};
+
+const Table<ProfileSpec> kProfileKeys{"profile", {
+    {"folded", &ProfileSpec::folded},
+    {"timeline", &ProfileSpec::timeline},
+}};
+
+const Table<TelemetrySpec> kTelemetryKeys{"telemetry", {
+    {"enabled", &TelemetrySpec::enabled},
+    {"interval", Time{&TelemetrySpec::interval}},
+    {"artifact", &TelemetrySpec::artifact},
+    {"audit", &TelemetrySpec::audit},
+    {"audit_artifact", &TelemetrySpec::audit_artifact},
+    {"max_samples", &TelemetrySpec::max_samples},
+    // A comma-separated pattern list; blanks around each pattern are dropped.
+    {"include",
+     [](const Section& s, const char* k, TelemetrySpec& t) {
+       std::istringstream list(s.get(k));
+       for (std::string pat; std::getline(list, pat, ',');) {
+         pat.erase(0, pat.find_first_not_of(" \t"));
+         pat.erase(pat.find_last_not_of(" \t") + 1);
+         if (!pat.empty()) t.include.push_back(std::move(pat));
+       }
+     }},
+}};
+
+const Table<TracingSpec> kTracingKeys{"tracing", {
+    {"enabled", &TracingSpec::enabled},
+    {"sample", &TracingSpec::sample},
+    {"top_k", &TracingSpec::top_k},
+    {"max_traces", &TracingSpec::max_traces},
+    {"artifact", &TracingSpec::artifact},
+}};
+
+const Table<FaultSpec> kFaultKeys{"fault", {
+    {"kind", &FaultSpec::kind, kFaultKinds, /*required=*/true},
+    {"target", &FaultSpec::target},
+    {"at", Time{&FaultSpec::at}},
+    {"duration", Time{&FaultSpec::duration}},
+    {"jitter", Time{&FaultSpec::jitter}},
+    {"rate", &FaultSpec::rate},
+    {"count", &FaultSpec::count},
+}};
+
+constexpr Named<obs::PcapWriter::Format> kCaptureFormats[] = {
+    {obs::PcapWriter::Format::RawIp, "raw_ip"},
+    {obs::PcapWriter::Format::DatalinkFrame, "datalink"},
+};
 
 /// Capture element grammar: "node<i>.link" — node i's outbound fiber (the
 /// same element vocabulary faults use for link targeting).
@@ -65,204 +262,79 @@ int parse_capture_node(const std::string& element, int nodes) {
 
 ScenarioSpec ScenarioSpec::from_config(const Config& cfg) {
   ScenarioSpec spec;
-  if (const Section* s = cfg.find("scenario")) {
-    check_keys(*s, {"name", "seed", "duration", "tcp_congestion", "software_checksum", "mtu",
-                    "substrate_metrics", "attach_metrics"});
-    spec.name = s->get("name", spec.name);
-    spec.seed = static_cast<std::uint64_t>(s->get_int("seed", 1));
-    spec.duration = s->get_time("duration", spec.duration);
-    spec.tcp_congestion = s->get_bool("tcp_congestion", spec.tcp_congestion);
-    spec.software_checksum = s->get_bool("software_checksum", spec.software_checksum);
-    spec.mtu = s->get_int("mtu", spec.mtu);
-    spec.substrate_metrics = s->get_bool("substrate_metrics", spec.substrate_metrics);
-    spec.attach_metrics = s->get_bool("attach_metrics", spec.attach_metrics);
+  bind_first(cfg, kScenarioKeys, spec);
+  bind_first(cfg, kTopologyKeys, spec.topology);
+  bind_first(cfg, kParallelKeys, spec.parallel);
+  bind_first(cfg, kRoutingKeys, spec.routing);
+  bind_first(cfg, kCollectivesKeys, spec.collectives);
+  bind_first(cfg, kSessionsKeys, spec.sessions);
+  bind_first(cfg, kProfileKeys, spec.profile);
+  bind_first(cfg, kTelemetryKeys, spec.telemetry);
+  bind_first(cfg, kTracingKeys, spec.tracing);
+  for (const Section* s : cfg.all(kWorkloadKeys.section)) {
+    // Workload i defaults to name wl<i> and claims a private 16-port band,
+    // so TCP client ports (port+1) never collide across workloads.
+    const int i = static_cast<int>(spec.workloads.size());
+    WorkloadSpec& w = spec.workloads.emplace_back();
+    w.name = "wl" + std::to_string(i);
+    w.port = static_cast<std::uint16_t>(7000 + 16 * i);
+    bind(*s, kWorkloadKeys, w);
   }
-  if (const Section* s = cfg.find("topology")) {
-    check_keys(*s, {"kind", "nodes", "hub_ports", "trunks", "spines", "with_vme",
-                    "trunk_propagation", "route_spread"});
-    spec.topology.kind = TopologySpec::parse_kind(s->get("kind", "star"));
-    spec.topology.nodes = static_cast<int>(s->get_int("nodes", spec.topology.nodes));
-    spec.topology.hub_ports = static_cast<int>(s->get_int("hub_ports", spec.topology.hub_ports));
-    spec.topology.trunks = static_cast<int>(s->get_int("trunks", spec.topology.trunks));
-    spec.topology.spines = static_cast<int>(s->get_int("spines", spec.topology.spines));
-    spec.topology.with_vme = s->get_bool("with_vme", spec.topology.with_vme);
-    spec.topology.trunk_propagation =
-        s->get_time("trunk_propagation", spec.topology.trunk_propagation);
-    if (spec.topology.trunk_propagation <= 0) {
-      throw std::invalid_argument("topology: trunk_propagation must be > 0");
-    }
-    spec.topology.route_spread = s->get_bool("route_spread", spec.topology.route_spread);
-  }
-  if (const Section* s = cfg.find("parallel")) {
-    check_keys(*s, {"shards", "partition"});
-    spec.parallel.shards = static_cast<int>(s->get_int("shards", spec.parallel.shards));
-    spec.parallel.partition = s->get("partition", spec.parallel.partition);
-    if (spec.parallel.shards < 1) {
-      throw std::invalid_argument("parallel: shards must be >= 1");
-    }
-    ParallelSpec::validate_partition(spec.parallel.partition);
-  }
-  int wl_index = 0;
-  for (const Section* s : cfg.all("workload")) {
-    check_keys(*s, {"name", "proto", "mode", "users", "rate", "think", "size", "size_min",
-                    "size_max", "stride", "start", "port"});
-    WorkloadSpec w;
-    w.name = s->get("name", "wl" + std::to_string(wl_index));
-    w.proto = WorkloadSpec::parse_proto(s->get("proto", "udp"));
-    w.mode = WorkloadSpec::parse_mode(s->get("mode", "closed"));
-    w.users = static_cast<int>(s->get_int("users", w.users));
-    w.rate = s->get_double("rate", w.rate);
-    w.think = s->get_time("think", w.think);
-    auto size = static_cast<std::uint32_t>(s->get_int("size", 64));
-    w.size_min = static_cast<std::uint32_t>(s->get_int("size_min", size));
-    w.size_max = static_cast<std::uint32_t>(s->get_int("size_max", size));
-    w.stride = static_cast<int>(s->get_int("stride", w.stride));
-    w.start = s->get_time("start", w.start);
-    // Workload i claims a private 16-port band so TCP client ports (port+1)
-    // never collide across workloads.
-    w.port = static_cast<std::uint16_t>(s->get_int("port", 7000 + 16 * wl_index));
-    spec.workloads.push_back(std::move(w));
-    ++wl_index;
-  }
-  if (const Section* s = cfg.find("routing")) {
-    check_keys(*s, {"enabled", "paths", "probe_interval", "probe_timeout", "suspect_after",
-                    "dead_after", "recover_after", "dead_backoff", "revert"});
-    spec.routing.enabled = s->get_bool("enabled", spec.routing.enabled);
-    spec.routing.paths = static_cast<int>(s->get_int("paths", spec.routing.paths));
-    spec.routing.probe_interval = s->get_time("probe_interval", spec.routing.probe_interval);
-    spec.routing.probe_timeout = s->get_time("probe_timeout", spec.routing.probe_timeout);
-    spec.routing.suspect_after =
-        static_cast<int>(s->get_int("suspect_after", spec.routing.suspect_after));
-    spec.routing.dead_after = static_cast<int>(s->get_int("dead_after", spec.routing.dead_after));
-    spec.routing.recover_after =
-        static_cast<int>(s->get_int("recover_after", spec.routing.recover_after));
-    spec.routing.dead_backoff = s->get_double("dead_backoff", spec.routing.dead_backoff);
-    spec.routing.revert = s->get_bool("revert", spec.routing.revert);
-  }
-  if (const Section* s = cfg.find("collectives")) {
-    check_keys(*s, {"enabled", "mode", "op", "algorithm", "reduce", "payload", "iterations",
-                    "interval", "fanout", "timeout", "retransmit", "multicast"});
-    CollectivesSpec& c = spec.collectives;
-    c.enabled = s->get_bool("enabled", c.enabled);
-    c.mode = s->get("mode", c.mode);
-    c.op = s->get("op", c.op);
-    c.algorithm = s->get("algorithm", c.algorithm);
-    c.reduce = s->get("reduce", c.reduce);
-    c.payload = s->get_int("payload", c.payload);
-    c.iterations = s->get_int("iterations", c.iterations);
-    c.interval = s->get_time("interval", c.interval);
-    c.fanout = s->get_int("fanout", c.fanout);
-    c.timeout = s->get_time("timeout", c.timeout);
-    c.retransmit = s->get_time("retransmit", c.retransmit);
-    c.multicast = s->get_bool("multicast", c.multicast);
-    c.validate();  // reject typos at parse time even when enabled=false
-  }
-  if (const Section* s = cfg.find("sessions")) {
-    check_keys(*s, {"enabled", "trunks", "channels", "trunk_proto", "stride", "rate", "size",
-                    "start", "warmup", "classes", "weight_spread", "initial_credit",
-                    "credit_refresh", "send_window", "max_batch", "max_channels",
-                    "rmp_queue_cap", "aggregation", "fail_timeout", "churn_rate", "churn_start",
-                    "churn_duration", "stall_at", "stall_duration", "stall_channels",
-                    "probe_channels"});
-    SessionsSpec& c = spec.sessions;
-    c.enabled = s->get_bool("enabled", c.enabled);
-    c.trunks = s->get_int("trunks", c.trunks);
-    c.channels = s->get_int("channels", c.channels);
-    c.trunk_proto = s->get("trunk_proto", c.trunk_proto);
-    c.stride = s->get_int("stride", c.stride);
-    c.rate = s->get_double("rate", c.rate);
-    c.size = s->get_int("size", c.size);
-    c.start = s->get_time("start", c.start);
-    c.warmup = s->get_time("warmup", c.warmup);
-    c.classes = s->get_int("classes", c.classes);
-    c.weight_spread = s->get_int("weight_spread", c.weight_spread);
-    c.initial_credit = s->get_int("initial_credit", c.initial_credit);
-    c.credit_refresh = s->get_int("credit_refresh", c.credit_refresh);
-    c.send_window = s->get_int("send_window", c.send_window);
-    c.max_batch = s->get_int("max_batch", c.max_batch);
-    c.max_channels = s->get_int("max_channels", c.max_channels);
-    c.rmp_queue_cap = s->get_int("rmp_queue_cap", c.rmp_queue_cap);
-    c.aggregation = s->get_time("aggregation", c.aggregation);
-    c.fail_timeout = s->get_time("fail_timeout", c.fail_timeout);
-    c.churn_rate = s->get_double("churn_rate", c.churn_rate);
-    c.churn_start = s->get_time("churn_start", c.churn_start);
-    c.churn_duration = s->get_time("churn_duration", c.churn_duration);
-    c.stall_at = s->get_time("stall_at", c.stall_at);
-    c.stall_duration = s->get_time("stall_duration", c.stall_duration);
-    c.stall_channels = s->get_int("stall_channels", c.stall_channels);
-    c.probe_channels = s->get_int("probe_channels", c.probe_channels);
-    c.validate();  // reject typos at parse time even when enabled=false
-  }
-  for (const Section* s : cfg.all("capture")) {
-    check_keys(*s, {"element", "file", "format"});
-    CaptureSpec c;
-    c.element = s->get("element", "");
-    c.file = s->get("file", "");
-    c.format = s->get("format", c.format);
+  for (const Section* s : cfg.all(kCaptureKeys.section)) {
+    CaptureSpec& c = spec.captures.emplace_back();
+    bind(*s, kCaptureKeys, c);
     if (c.element.empty()) throw std::runtime_error("config: [capture] needs element");
     if (c.file.empty()) throw std::runtime_error("config: [capture] needs file");
-    parse_capture_format(c.format);  // reject typos at parse time
-    spec.captures.push_back(std::move(c));
+    parse_name(kCaptureFormats, c.format, "capture: unknown format");
   }
-  if (const Section* s = cfg.find("profile")) {
-    check_keys(*s, {"folded", "timeline"});
-    spec.profile.folded = s->get("folded", "");
-    spec.profile.timeline = s->get("timeline", "");
+  for (const Section* s : cfg.all(kFaultKeys.section)) {
+    bind(*s, kFaultKeys, spec.faults.emplace_back());
   }
-  if (const Section* s = cfg.find("telemetry")) {
-    check_keys(*s, {"enabled", "interval", "artifact", "audit", "audit_artifact",
-                    "max_samples", "include"});
-    spec.telemetry.enabled = s->get_bool("enabled", spec.telemetry.enabled);
-    spec.telemetry.interval = s->get_time("interval", spec.telemetry.interval);
-    spec.telemetry.artifact = s->get("artifact", "");
-    spec.telemetry.audit = s->get_bool("audit", spec.telemetry.audit);
-    spec.telemetry.audit_artifact = s->get("audit_artifact", "");
-    spec.telemetry.max_samples = s->get_int("max_samples", spec.telemetry.max_samples);
-    std::string include = s->get("include", "");
-    for (std::size_t pos = 0; pos < include.size();) {
-      std::size_t comma = include.find(',', pos);
-      if (comma == std::string::npos) comma = include.size();
-      std::string pat = include.substr(pos, comma - pos);
-      pat.erase(0, pat.find_first_not_of(" \t"));
-      pat.erase(pat.find_last_not_of(" \t") + 1);
-      if (!pat.empty()) spec.telemetry.include.push_back(std::move(pat));
-      pos = comma + 1;
-    }
-    if (spec.telemetry.interval <= 0) {
-      throw std::invalid_argument("telemetry: interval must be > 0");
-    }
-    if (spec.telemetry.max_samples < 1) {
-      throw std::invalid_argument("telemetry: max_samples must be >= 1");
-    }
+
+  // Checks beyond a plain bind. The defaults pass every one of them, so they
+  // run whether or not the section was present: a disabled section's typo'd
+  // value fails too.
+  if (spec.topology.trunk_propagation <= 0) {
+    throw std::invalid_argument("topology: trunk_propagation must be > 0");
   }
-  if (const Section* s = cfg.find("tracing")) {
-    check_keys(*s, {"enabled", "sample", "top_k", "max_traces", "artifact"});
-    spec.tracing.enabled = s->get_bool("enabled", spec.tracing.enabled);
-    spec.tracing.sample = s->get_double("sample", spec.tracing.sample);
-    spec.tracing.top_k = s->get_int("top_k", spec.tracing.top_k);
-    spec.tracing.max_traces = s->get_int("max_traces", spec.tracing.max_traces);
-    spec.tracing.artifact = s->get("artifact", "");
-    if (spec.tracing.sample < 0.0 || spec.tracing.sample > 1.0) {
-      throw std::invalid_argument("tracing: sample must be in [0, 1]");
-    }
-    if (spec.tracing.top_k < 0) throw std::invalid_argument("tracing: top_k must be >= 0");
-    if (spec.tracing.max_traces < 0) {
-      throw std::invalid_argument("tracing: max_traces must be >= 0");
-    }
+  if (spec.parallel.shards < 1) throw std::invalid_argument("parallel: shards must be >= 1");
+  ParallelSpec::validate_partition(spec.parallel.partition);
+  spec.collectives.validate();
+  spec.sessions.validate();
+  if (spec.telemetry.interval <= 0) {
+    throw std::invalid_argument("telemetry: interval must be > 0");
   }
-  for (const Section* s : cfg.all("fault")) {
-    check_keys(*s, {"kind", "target", "at", "duration", "jitter", "rate", "count"});
-    FaultSpec f;
-    f.kind = FaultSpec::parse_kind(s->get("kind", ""));
-    f.target = s->get("target", "");
-    f.at = s->get_time("at", 0);
-    f.duration = s->get_time("duration", 0);
-    f.jitter = s->get_time("jitter", 0);
-    f.rate = s->get_double("rate", f.rate);
-    f.count = static_cast<std::uint64_t>(s->get_int("count", 1));
-    spec.faults.push_back(std::move(f));
+  if (spec.telemetry.max_samples < 1) {
+    throw std::invalid_argument("telemetry: max_samples must be >= 1");
+  }
+  if (spec.tracing.sample < 0.0 || spec.tracing.sample > 1.0) {
+    throw std::invalid_argument("tracing: sample must be in [0, 1]");
+  }
+  if (spec.tracing.top_k < 0) throw std::invalid_argument("tracing: top_k must be >= 0");
+  if (spec.tracing.max_traces < 0) {
+    throw std::invalid_argument("tracing: max_traces must be >= 0");
   }
   return spec;
+}
+
+std::map<std::string, std::vector<std::string>> ScenarioSpec::vocabulary() {
+  std::map<std::string, std::vector<std::string>> out;
+  auto add = [&out](const auto& table) {
+    for (const auto& k : table.keys) out[table.section].emplace_back(k.name);
+  };
+  add(kScenarioKeys);
+  add(kTopologyKeys);
+  add(kParallelKeys);
+  add(kWorkloadKeys);
+  add(kRoutingKeys);
+  add(kCollectivesKeys);
+  add(kSessionsKeys);
+  add(kCaptureKeys);
+  add(kProfileKeys);
+  add(kTelemetryKeys);
+  add(kTracingKeys);
+  add(kFaultKeys);
+  return out;
 }
 
 Scenario::Scenario(ScenarioSpec spec) : spec_(std::move(spec)), net_(spec_.parallel.shards) {
@@ -322,7 +394,8 @@ Scenario::Scenario(ScenarioSpec spec) : spec_(std::move(spec)), net_(spec_.paral
   }
   for (const CaptureSpec& c : spec_.captures) {
     int node = parse_capture_node(c.element, n);
-    auto w = std::make_unique<obs::PcapWriter>(c.file, parse_capture_format(c.format));
+    auto w = std::make_unique<obs::PcapWriter>(
+        c.file, parse_name(kCaptureFormats, c.format, "capture: unknown format"));
     net_.cab(node).out_link().attach_pcap(w.get());
     pcaps_.push_back(std::move(w));
   }
@@ -435,7 +508,7 @@ obs::RunReport Scenario::report() {
   obs::RunReport rep("scenario");
   rep.param("name", spec_.name);
   rep.param("seed", static_cast<std::int64_t>(spec_.seed));
-  rep.param("topology", kind_name(spec_.topology.kind));
+  rep.param("topology", name_of(kTopologyKinds, spec_.topology.kind));
   rep.param("nodes", net_.cab_count());
   rep.param("duration_us", spec_.duration / sim::kMicrosecond);
   rep.param("workloads", static_cast<std::int64_t>(workloads_.size()));

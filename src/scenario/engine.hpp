@@ -13,6 +13,7 @@
 // reports, and changing the seed decorrelates every stream at once.
 
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -129,6 +130,10 @@ struct ScenarioSpec {
   /// file order). Throws std::runtime_error / std::invalid_argument on
   /// malformed input.
   static ScenarioSpec from_config(const Config& cfg);
+
+  /// Every key from_config accepts, by section name (docs/SCENARIOS.md's
+  /// reference block is tested against it).
+  static std::map<std::string, std::vector<std::string>> vocabulary();
 };
 
 class Scenario {

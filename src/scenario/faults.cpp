@@ -5,21 +5,8 @@
 
 namespace nectar::scenario {
 
-FaultKind FaultSpec::parse_kind(const std::string& name) {
-  if (name == "link_drop") return FaultKind::LinkDrop;
-  if (name == "link_corrupt") return FaultKind::LinkCorrupt;
-  if (name == "link_down") return FaultKind::LinkDown;
-  if (name == "link_drop_burst") return FaultKind::LinkDropBurst;
-  if (name == "hub_blackout") return FaultKind::HubBlackout;
-  if (name == "vme_stall") return FaultKind::VmeStall;
-  if (name == "cab_crash") return FaultKind::CabCrash;
-  throw std::invalid_argument("fault: unknown kind '" + name + "'");
-}
-
 std::string FaultSpec::describe() const {
-  const char* names[] = {"link_drop",    "link_corrupt", "link_down", "link_drop_burst",
-                         "hub_blackout", "vme_stall",    "cab_crash"};
-  std::string s = names[static_cast<int>(kind)];
+  std::string s = name_of(kFaultKinds, kind);
   s += "(" + target;
   if (kind == FaultKind::LinkDrop || kind == FaultKind::LinkCorrupt) {
     char buf[32];

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "net/topology.hpp"
+#include "scenario/config.hpp"
 #include "sim/random.hpp"
 
 namespace nectar::scenario {
@@ -33,6 +34,16 @@ enum class FaultKind {
                  ///< rebooted after `duration`
 };
 
+inline constexpr Named<FaultKind> kFaultKinds[] = {
+    {FaultKind::LinkDrop, "link_drop"},
+    {FaultKind::LinkCorrupt, "link_corrupt"},
+    {FaultKind::LinkDown, "link_down"},
+    {FaultKind::LinkDropBurst, "link_drop_burst"},
+    {FaultKind::HubBlackout, "hub_blackout"},
+    {FaultKind::VmeStall, "vme_stall"},
+    {FaultKind::CabCrash, "cab_crash"},
+};
+
 struct FaultSpec {
   FaultKind kind = FaultKind::LinkDrop;
   std::string target;            ///< element name (grammar above)
@@ -42,7 +53,6 @@ struct FaultSpec {
   double rate = 1.0;             ///< LinkDrop / LinkCorrupt probability
   std::uint64_t count = 1;       ///< LinkDropBurst frames
 
-  static FaultKind parse_kind(const std::string& name);
   std::string describe() const;  ///< "link_drop(node3.link, rate=0.5)" for reports/logs
 };
 

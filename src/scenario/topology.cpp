@@ -4,14 +4,6 @@
 
 namespace nectar::scenario {
 
-TopologyKind TopologySpec::parse_kind(const std::string& name) {
-  if (name == "star") return TopologyKind::Star;
-  if (name == "dual_hub") return TopologyKind::DualHub;
-  if (name == "fat_tree") return TopologyKind::FatTree;
-  throw std::invalid_argument("topology: unknown kind '" + name +
-                              "' (want star | dual_hub | fat_tree)");
-}
-
 void ParallelSpec::validate_partition(const std::string& name) {
   if (name != "modulo" && name != "block") {
     throw std::invalid_argument("parallel: unknown partition '" + name +

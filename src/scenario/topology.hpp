@@ -10,6 +10,7 @@
 #include <string>
 
 #include "net/topology.hpp"
+#include "scenario/config.hpp"
 
 namespace nectar::scenario {
 
@@ -17,6 +18,12 @@ enum class TopologyKind {
   Star,     ///< N CABs on one HUB (N <= HUB ports; the common installation)
   DualHub,  ///< two HUBs, nodes split evenly, `trunks` parallel trunk pairs
   FatTree,  ///< 2-level: leaf HUBs with CABs, each leaf trunked to every spine
+};
+
+inline constexpr Named<TopologyKind> kTopologyKinds[] = {
+    {TopologyKind::Star, "star"},
+    {TopologyKind::DualHub, "dual_hub"},
+    {TopologyKind::FatTree, "fat_tree"},
 };
 
 struct TopologySpec {
@@ -36,7 +43,9 @@ struct TopologySpec {
   /// baked into the committed BENCH_* reports.
   bool route_spread = false;
 
-  static TopologyKind parse_kind(const std::string& name);  // "star" | "dual_hub" | "fat_tree"
+  static TopologyKind parse_kind(const std::string& name) {
+    return parse_name(kTopologyKinds, name, "topology: unknown kind");
+  }
 };
 
 /// How HUBs map to simulation shards ([parallel] INI section).

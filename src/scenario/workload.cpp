@@ -34,33 +34,6 @@ std::uint64_t unpack64(const std::uint8_t* p) {
 
 }  // namespace
 
-Proto WorkloadSpec::parse_proto(const std::string& name) {
-  if (name == "udp") return Proto::Udp;
-  if (name == "tcp") return Proto::Tcp;
-  if (name == "datagram") return Proto::Datagram;
-  if (name == "rmp") return Proto::Rmp;
-  if (name == "reqresp") return Proto::ReqResp;
-  throw std::invalid_argument("workload: unknown proto '" + name +
-                              "' (want udp | tcp | datagram | rmp | reqresp)");
-}
-
-Mode WorkloadSpec::parse_mode(const std::string& name) {
-  if (name == "open") return Mode::Open;
-  if (name == "closed") return Mode::Closed;
-  throw std::invalid_argument("workload: unknown mode '" + name + "' (want open | closed)");
-}
-
-const char* WorkloadSpec::proto_name(Proto p) {
-  switch (p) {
-    case Proto::Udp: return "udp";
-    case Proto::Tcp: return "tcp";
-    case Proto::Datagram: return "datagram";
-    case Proto::Rmp: return "rmp";
-    case Proto::ReqResp: return "reqresp";
-  }
-  return "?";
-}
-
 Workload::Workload(net::Network& net, std::vector<net::NodeStack*> stacks, WorkloadSpec spec,
                    std::uint64_t master_seed)
     : net_(net), stacks_(std::move(stacks)), spec_(std::move(spec)), master_seed_(master_seed) {

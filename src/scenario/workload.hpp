@@ -29,12 +29,19 @@
 #include "obs/causal.hpp"
 #include "obs/latency.hpp"
 #include "obs/metrics.hpp"
+#include "scenario/config.hpp"
 #include "sim/random.hpp"
 
 namespace nectar::scenario {
 
 enum class Proto { Udp, Tcp, Datagram, Rmp, ReqResp };
 enum class Mode { Open, Closed };
+
+inline constexpr Named<Proto> kProtos[] = {
+    {Proto::Udp, "udp"}, {Proto::Tcp, "tcp"}, {Proto::Datagram, "datagram"},
+    {Proto::Rmp, "rmp"}, {Proto::ReqResp, "reqresp"},
+};
+inline constexpr Named<Mode> kModes[] = {{Mode::Open, "open"}, {Mode::Closed, "closed"}};
 
 struct WorkloadSpec {
   std::string name = "wl";
@@ -48,10 +55,6 @@ struct WorkloadSpec {
   int stride = 1;                 ///< node i sends to (i + stride) % N
   sim::SimTime start = 0;         ///< when the generators begin
   std::uint16_t port = 0;         ///< UDP/TCP port (0: engine auto-assigns)
-
-  static Proto parse_proto(const std::string& name);  // "udp" | "tcp" | ...
-  static Mode parse_mode(const std::string& name);    // "open" | "closed"
-  static const char* proto_name(Proto p);
 };
 
 /// Per-flow counters. `shed` counts offered messages the open-loop

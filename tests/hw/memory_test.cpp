@@ -24,6 +24,18 @@ TEST(CabMemory, BulkReadWrite) {
   EXPECT_EQ(in, out);
 }
 
+TEST(CabMemory, EmptySpanReadWriteIsANoOp) {
+  // An empty span may carry a null data(); copying zero bytes from or to it
+  // must not reach memcpy (UB), and must leave memory untouched.
+  CabMemory m;
+  m.write8(kDataBase, 0x5A);
+  m.write(kDataBase, std::span<const std::uint8_t>{});
+  m.read(kDataBase, std::span<std::uint8_t>{});
+  EXPECT_EQ(m.read8(kDataBase), 0x5A);
+  // The bounds check still applies to a zero-length access.
+  EXPECT_THROW(m.read(kProgramEnd, std::span<std::uint8_t>{}), std::out_of_range);
+}
+
 TEST(CabMemory, FillAndView) {
   CabMemory m;
   m.fill(kDataBase, 16, 0x7F);

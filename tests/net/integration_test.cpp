@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
+#include <vector>
 
 #include "host/node.hpp"
 
@@ -123,9 +125,12 @@ TEST(Integration, TwoHostPairsShareTheFabric) {
   NectarSystem sys(4, /*with_vme=*/true);
   host::HostNode h0(sys, 0), h1(sys, 1), h2(sys, 2), h3(sys, 3);
 
-  auto stream = [&sys](host::HostNode& src, host::HostNode& dst, int dst_node,
-                       const char* name, int n, std::size_t size, sim::SimTime* done) {
-    auto* dstp = new host::HostNectarPort(dst.nin, dst.sockets, name);
+  // The receive ports outlive stream(): their processes run in run_until.
+  std::vector<std::unique_ptr<host::HostNectarPort>> rx_ports;
+  auto stream = [&sys, &rx_ports](host::HostNode& src, host::HostNode& dst, int dst_node,
+                                  const char* name, int n, std::size_t size, sim::SimTime* done) {
+    rx_ports.push_back(std::make_unique<host::HostNectarPort>(dst.nin, dst.sockets, name));
+    host::HostNectarPort* dstp = rx_ports.back().get();
     core::MailboxAddr addr = dstp->address();
     dst.host.run_process("rx", [&sys, dstp, n, size, done] {
       std::vector<std::uint8_t> buf(size);

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <map>
+#include <regex>
+#include <string>
+
 #include "scenario/engine.hpp"
 
 namespace nectar::scenario {
@@ -121,6 +126,70 @@ TEST(ConfigTest, DisabledSectionsStillValidateValues) {
                std::runtime_error);
   EXPECT_THROW(ScenarioSpec::from_config(Config::parse_string("[sessions]\nsize = 4\n")),
                std::runtime_error);
+}
+
+// Checks that are more than a plain key-to-member bind.
+TEST(ConfigTest, FaultNeedsKind) {
+  EXPECT_THROW(
+      ScenarioSpec::from_config(Config::parse_string("[fault]\ntarget = node0.link\nat = 1ms\n")),
+      std::invalid_argument);
+}
+
+TEST(ConfigTest, CaptureNeedsElementAndFile) {
+  EXPECT_THROW(ScenarioSpec::from_config(Config::parse_string("[capture]\nfile = x.pcap\n")),
+               std::runtime_error);
+  EXPECT_THROW(
+      ScenarioSpec::from_config(Config::parse_string("[capture]\nelement = node0.link\n")),
+      std::runtime_error);
+}
+
+TEST(ConfigTest, UnnamedWorkloadDefaultsFollowItsIndex) {
+  ScenarioSpec spec = ScenarioSpec::from_config(Config::parse_string(
+      "[workload]\nname = a\n[workload]\nname = b\n[workload]\nproto = rmp\n"));
+  ASSERT_EQ(spec.workloads.size(), 3u);
+  EXPECT_EQ(spec.workloads[2].name, "wl2");
+  EXPECT_EQ(spec.workloads[2].port, 7032);
+}
+
+TEST(ConfigTest, WorkloadSizeSetsBothBounds) {
+  ScenarioSpec spec =
+      ScenarioSpec::from_config(Config::parse_string("[workload]\nsize = 300\n"));
+  EXPECT_EQ(spec.workloads.at(0).size_min, 300u);
+  EXPECT_EQ(spec.workloads.at(0).size_max, 300u);
+  // An explicit bound overrides `size` on its side only.
+  spec = ScenarioSpec::from_config(
+      Config::parse_string("[workload]\nsize = 300\nsize_max = 400\n"));
+  EXPECT_EQ(spec.workloads.at(0).size_min, 300u);
+  EXPECT_EQ(spec.workloads.at(0).size_max, 400u);
+}
+
+// The reference INI block in docs/SCENARIOS.md (the first ```ini fence)
+// names every key from_config accepts, under that key's own section header.
+// Commented-out keys ("# mtu = 1500") count as documented.
+TEST(ConfigTest, ReferenceBlockDocumentsEveryKey) {
+  std::ifstream in(std::string(NECTAR_SOURCE_DIR) + "/docs/SCENARIOS.md");
+  ASSERT_TRUE(in) << "cannot read docs/SCENARIOS.md";
+  std::map<std::string, std::string> text;  // section -> its lines in the block
+  std::string line, section;
+  bool in_block = false;
+  while (std::getline(in, line)) {
+    if (!in_block) {
+      in_block = line == "```ini";
+    } else if (line == "```") {
+      break;
+    } else if (line.rfind('[', 0) == 0) {
+      section = line.substr(1, line.find(']') - 1);
+    } else {
+      text[section] += line + "\n";
+    }
+  }
+  for (const auto& [name, keys] : ScenarioSpec::vocabulary()) {
+    ASSERT_TRUE(text.count(name)) << "no [" << name << "] in the reference block";
+    for (const std::string& key : keys) {
+      EXPECT_TRUE(std::regex_search(text[name], std::regex("(^|[^A-Za-z_])" + key + " *=")))
+          << "[" << name << "] " << key << " is not documented";
+    }
+  }
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <utility>
 #include <vector>
 
@@ -142,7 +143,7 @@ TEST(ParallelEngineTest, PingPongIsExactAndDeterministic) {
 TEST(ParallelEngineTest, RunToEmptyDrainsCrossTraffic) {
   ParallelEngine par(3);
   par.set_lookahead(5);
-  int fired = 0;
+  std::atomic<int> fired = 0;  // bumped from every shard's worker thread
   for (int s = 0; s < 3; ++s) {
     Engine& src = par.shard(s);
     Engine& dst = par.shard((s + 1) % 3);
@@ -151,7 +152,7 @@ TEST(ParallelEngineTest, RunToEmptyDrainsCrossTraffic) {
     });
   }
   par.run();
-  EXPECT_EQ(fired, 3);
+  EXPECT_EQ(fired.load(), 3);
   for (int s = 0; s < 3; ++s) EXPECT_EQ(par.shard(s).pending_events(), 0u);
 }
 
@@ -160,13 +161,13 @@ TEST(ParallelEngineTest, IndependentShardsParallelizePerfectly) {
   // critical path is one shard's share, so ideal speedup == shard count.
   ParallelEngine par(2);
   par.set_lookahead(100);
-  int fired = 0;
+  std::atomic<int> fired = 0;  // bumped from both shards' worker threads
   for (int s = 0; s < 2; ++s) {
     Engine& e = par.shard(s);
     for (SimTime t = 1; t <= 50; ++t) e.schedule_at(t, [&fired] { ++fired; });
   }
   par.run_until(200);
-  EXPECT_EQ(fired, 100);
+  EXPECT_EQ(fired.load(), 100);
   EXPECT_EQ(par.total_events(), 100u);
   EXPECT_EQ(par.critical_path_events(), 50u);
 }
