@@ -23,8 +23,12 @@ struct Breakdown {
 Breakdown measure(const BenchOptions& opts, obs::Snapshot* metrics_out) {
   net::NectarSystem sys(2, /*with_vme=*/true);
   host::HostNode h0(sys, 0), h1(sys, 1);
-  sim::TraceRecorder& tr = sys.net().trace();
-  if (!opts.trace_path.empty()) sys.tracer().set_enabled(true);
+  // The breakdown reads its stage boundaries back from the tracer: the host
+  // marks below go on one bench track, datagram.deliver on the CAB's CPU.
+  obs::Tracer& tracer = sys.tracer();
+  tracer.set_enabled(true);
+  const int host_track = tracer.track("fig6", "host");
+  auto mark = [&](const char* label) { tracer.instant(host_track, label); };
   start_profile(opts, sys.profiler());
 
   core::MailboxAddr svc_addr{};
@@ -40,11 +44,11 @@ Breakdown measure(const BenchOptions& opts, obs::Snapshot* metrics_out) {
     ready = true;
     std::vector<std::uint8_t> buf(kMsgSize);
     core::Message m = h1.nin.begin_get_poll(hm);
-    tr.mark("host.got-message");
+    mark("host.got-message");
     h1.nin.read_message(m, buf);
-    tr.mark("host.data-read");
+    mark("host.data-read");
     h1.nin.end_get(hm, m);
-    tr.mark("host.read-done");
+    mark("host.read-done");
     done = true;
   });
   sys.net().run_until(sim::msec(1));
@@ -53,7 +57,7 @@ Breakdown measure(const BenchOptions& opts, obs::Snapshot* metrics_out) {
   h0.host.run_process("sender", [&] {
     host::HostNectarPort port(h0.nin, h0.sockets, "src");
     auto data = pattern(kMsgSize);
-    tr.mark("host.start");
+    mark("host.start");
     // HostNectarPort::send_datagram = begin_put + write + end_put; we want
     // marks between the phases, so inline the same steps here.
     nectarine::HostNectarine::HostMailbox send{&h0.sockets.send_mailbox(), 0, 0};
@@ -63,25 +67,32 @@ Breakdown measure(const BenchOptions& opts, obs::Snapshot* metrics_out) {
     proto::put32n(hdr, 4, static_cast<std::uint32_t>(svc_addr.node));
     proto::put32n(hdr, 8, svc_addr.index);
     proto::put32n(hdr, 12, port.address().index);
-    tr.mark("host.msg-built");  // descriptor ready; data still to cross the bus
+    mark("host.msg-built");  // descriptor ready; data still to cross the bus
     h0.nin.write_message(req, hdr);
     h0.nin.driver().copy_to_cab(data, req.data + 16);
-    tr.mark("host.data-copied");
+    mark("host.data-copied");
     h0.nin.end_put(send, req);
-    tr.mark("host.end_put-done");
+    mark("host.end_put-done");
   });
   sys.net().run_until(sim::sec(1));
   if (!done) throw std::runtime_error("fig6: message never delivered");
 
+  // Time of the first mark with this label; a missing mark would silently
+  // skew the breakdown, so it fails the run.
+  auto mark_time = [&](const char* label) {
+    const obs::Tracer::Event* e = tracer.find(label);
+    if (e == nullptr) throw std::runtime_error(std::string("fig6: no ") + label + " mark");
+    return e->ts;
+  };
   Breakdown b{};
-  sim::SimTime t0 = tr.mark_time("host.start");
-  sim::SimTime built = tr.mark_time("host.msg-built");
-  sim::SimTime copied = tr.mark_time("host.data-copied");
-  sim::SimTime posted = tr.mark_time("host.end_put-done");
-  sim::SimTime dg_deliver = tr.mark_time("datagram.deliver");
-  sim::SimTime got = tr.mark_time("host.got-message");
-  sim::SimTime data_read = tr.mark_time("host.data-read");
-  sim::SimTime read_done = tr.mark_time("host.read-done");
+  sim::SimTime t0 = mark_time("host.start");
+  sim::SimTime built = mark_time("host.msg-built");
+  sim::SimTime copied = mark_time("host.data-copied");
+  sim::SimTime posted = mark_time("host.end_put-done");
+  sim::SimTime dg_deliver = mark_time("datagram.deliver");
+  sim::SimTime got = mark_time("host.got-message");
+  sim::SimTime data_read = mark_time("host.data-read");
+  sim::SimTime read_done = mark_time("host.read-done");
 
   // Attribution: everything between the host's End_Put returning and the
   // message landing in the destination mailbox on the far CAB is CAB work +
@@ -95,7 +106,7 @@ Breakdown measure(const BenchOptions& opts, obs::Snapshot* metrics_out) {
   (void)copied;
   (void)got;
   b.total = sim::to_usec(read_done - t0);
-  finish_trace(opts.trace_path, sys.tracer());
+  finish_trace(opts.trace_path, tracer);
   finish_profile(opts, sys.profiler());
   if (metrics_out != nullptr) *metrics_out = sys.metrics().snapshot();
   return b;

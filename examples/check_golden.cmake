@@ -1,11 +1,12 @@
-# Run one scenario and require its --json report to match a committed report
-# byte for byte. Invoked by ctest (see CMakeLists.txt here):
+# Run one command with `--json <fresh report>` appended and require the report
+# to match a committed report byte for byte. Invoked by ctest (see
+# CMakeLists.txt here):
 #
-#   cmake -DRUNNER=<scenario_runner> -DINI=<config.ini> -DOUT=<fresh.json>
+#   cmake -DCOMMAND=<binary> [-DARGS=<arg>] -DOUT=<fresh.json>
 #         -DCOMMITTED=<BENCH_*.json> -P check_golden.cmake
-execute_process(COMMAND ${RUNNER} ${INI} --json ${OUT} RESULT_VARIABLE rc OUTPUT_QUIET)
+execute_process(COMMAND ${COMMAND} ${ARGS} --json ${OUT} RESULT_VARIABLE rc OUTPUT_QUIET)
 if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "scenario_runner ${INI} failed (${rc})")
+  message(FATAL_ERROR "${COMMAND} ${ARGS} failed (${rc})")
 endif()
 execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files ${OUT} ${COMMITTED}
                 RESULT_VARIABLE differs)

@@ -2,15 +2,13 @@
 
 namespace nectar::core {
 
-CabRuntime::CabRuntime(hw::CabBoard& board, sim::TraceRecorder* trace,
-                       obs::MetricsRegistry* metrics, obs::Tracer* tracer)
+CabRuntime::CabRuntime(hw::CabBoard& board, obs::MetricsRegistry* metrics, obs::Tracer* tracer)
     : board_(board),
       cpu_(board.engine(), board.name() + ".cpu"),
       heap_(board.memory()),
       signals_(cpu_, board.memory(), heap_),
       cab_syncs_(board.name() + ".cab-syncs"),
       host_syncs_(board.name() + ".host-syncs"),
-      trace_(trace),
       own_metrics_(metrics == nullptr ? std::make_unique<obs::MetricsRegistry>() : nullptr),
       metrics_(metrics != nullptr ? metrics : own_metrics_.get()),
       tracer_(tracer),

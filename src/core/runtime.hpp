@@ -15,7 +15,6 @@
 #include "hw/cab.hpp"
 #include "obs/metrics.hpp"
 #include "obs/tracer.hpp"
-#include "sim/trace.hpp"
 
 namespace nectar::core {
 
@@ -28,8 +27,8 @@ class CabRuntime {
   /// `metrics` and `tracer` are the network-wide observability sinks; a
   /// standalone runtime (nullptr metrics) falls back to a private registry so
   /// register_metrics callers always have somewhere to report.
-  explicit CabRuntime(hw::CabBoard& board, sim::TraceRecorder* trace = nullptr,
-                      obs::MetricsRegistry* metrics = nullptr, obs::Tracer* tracer = nullptr);
+  explicit CabRuntime(hw::CabBoard& board, obs::MetricsRegistry* metrics = nullptr,
+                      obs::Tracer* tracer = nullptr);
 
   CabRuntime(const CabRuntime&) = delete;
   CabRuntime& operator=(const CabRuntime&) = delete;
@@ -69,11 +68,9 @@ class CabRuntime {
 
   // --- observability ----------------------------------------------------------------
 
-  sim::TraceRecorder* trace() { return trace_; }
-  void trace_mark(const char* label) {
-    if (trace_ != nullptr) trace_->mark(label);
-    // Mirror legacy marks onto this CAB's CPU track so Figure-6 style
-    // breakdown points appear on the Chrome timeline unchanged.
+  /// A named point on this CAB's CPU track (protocol marks, Figure-6
+  /// breakdown points); recorded only while the tracer is enabled.
+  void trace_mark([[maybe_unused]] const char* label) {
     NECTAR_TRACE(if (obs::tracing(cpu_.tracer())) cpu_.tracer()->instant(cpu_.trace_track(), label));
   }
 
@@ -89,7 +86,6 @@ class CabRuntime {
   HostSignaling signals_;
   SyncPool cab_syncs_;
   SyncPool host_syncs_;
-  sim::TraceRecorder* trace_;
 
   // Declared before metrics_reg_ so probes unhook before the fallback
   // registry (if used) is destroyed.

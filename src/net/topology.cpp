@@ -28,17 +28,7 @@ std::string balance_detail(std::initializer_list<std::pair<const char*, std::uin
 }  // namespace
 
 Network::Network(int shards)
-    : par_(std::make_unique<sim::ParallelEngine>(shards)),
-      trace_(par_->shard(0)),
-      tracer_(par_->shard(0)) {
-  if (shards > 1) {
-    // The debug TraceRecorder appends to one shared vector from every mark()
-    // site; it is a single-shard tool. Default it off so instrumented code
-    // paths on worker threads reduce to one branch (scenario validation
-    // additionally rejects configs that would re-enable it).
-    trace_.set_enabled(false);
-  }
-}
+    : par_(std::make_unique<sim::ParallelEngine>(shards)), tracer_(par_->shard(0)) {}
 
 void Network::register_audit(obs::Auditor& auditor) {
   // Per-node fiber conservation: every frame that started serializing is
@@ -178,7 +168,7 @@ int Network::add_cab(int hub_id, int port, bool with_vme) {
   cn->board =
       std::make_unique<hw::CabBoard>(eng, "cab" + std::to_string(node), node, cn->vme.get());
   cn->board->dma().attach_profiler(&profiler_, node_proc + ".dma");
-  cn->rt = std::make_unique<core::CabRuntime>(*cn->board, &trace_, &metrics_, &tracer_);
+  cn->rt = std::make_unique<core::CabRuntime>(*cn->board, &metrics_, &tracer_);
   cn->rt->cpu().attach_profiler(&profiler_);
   cn->dl = std::make_unique<proto::Datalink>(*cn->rt);
   cn->hub = hub_id;

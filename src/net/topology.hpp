@@ -15,7 +15,6 @@
 #include "proto/datalink.hpp"
 #include "sim/engine.hpp"
 #include "sim/parallel.hpp"
-#include "sim/trace.hpp"
 
 namespace nectar::obs {
 class Auditor;
@@ -63,8 +62,6 @@ class Network {
   int node_shard(int node) const { return hub_shard(cab_hub(node)); }
   sim::Engine& engine_of_node(int node) { return par_->shard(node_shard(node)); }
 
-  sim::TraceRecorder& trace() { return trace_; }
-
   /// Network-wide observability: every node's stats report into one registry,
   /// and every node's scheduler/bus/wire events share one tracer (disabled
   /// until Tracer::set_enabled(true)).
@@ -88,7 +85,7 @@ class Network {
   /// (per-shard event counts, window/mailbox statistics) and the byte
   /// pools are skipped — they are thread_local, and the coordinator thread's
   /// pools see no frame traffic.
-  /// Idempotent: telemetry and [scenario] substrate_metrics may both ask.
+  /// Idempotent.
   void register_substrate_metrics();
 
   /// Wire the substrate's conservation laws into `auditor` (tick-checked
@@ -193,7 +190,6 @@ class Network {
   const std::vector<std::uint8_t>& hub_path(int a, int b) const;
 
   std::unique_ptr<sim::ParallelEngine> par_;
-  sim::TraceRecorder trace_;
   obs::MetricsRegistry metrics_;
   obs::Tracer tracer_;
   obs::Profiler profiler_;

@@ -231,35 +231,13 @@ void Datalink::process_pending() {
   sim::SimTime proto_hdr_avail =
       fifo.payload_available_at(DatalinkHeader::kSize + stamp_skip + client->header_bytes());
 
+  rx_.push_back({m, client, src});
   dma.start_recv(m.data, DatalinkHeader::kSize + stamp_skip,
-                 [this, m, src, client](hw::FiberInFifo::ArrivedFrame af, bool crc_ok) {
-                   rt_.cpu().post_interrupt([this, m, src, client, crc_ok] {
-                     ++packets_received_;
-                     NECTAR_TRACE(trace_instant("dl.recv"));
-                     obs::CausalTracer* tracer = obs::CausalTracer::active();
-                     obs::TraceContext rctx =
-                         tracer != nullptr ? tracer->lookup(node_id(), m.data)
-                                           : obs::TraceContext{};
-                     if (crc_ok) {
-                       if (tracer != nullptr && rctx.valid()) {
-                         tracer->stage(rctx, "rx.datalink", "node" + std::to_string(node_id()));
-                       }
-                       obs::CausalTracer::RxScope rx(rctx);
-                       client->end_of_data(m, src);
-                     } else {
-                       // The hardware CRC caught corruption: drop silently;
-                       // reliable protocols recover by retransmission.
-                       ++dropped_crc_;
-                       if (tracer != nullptr && rctx.valid()) {
-                         tracer->annotate(rctx, "drop.crc");
-                         tracer->stage(rctx, "loss.wait", "node" + std::to_string(node_id()));
-                         tracer->tag(node_id(), m.data, m.len, {});  // buffer is freed
-                       }
-                       client->input_mailbox().end_get(m);
-                     }
-                     process_pending();
-                   });
-                   (void)af;
+                 [this](hw::FiberInFifo::ArrivedFrame, bool crc_ok) {
+                   // The channel runs one receive at a time: the one that
+                   // just finished is the newest started.
+                   rx_.back().crc_ok = crc_ok;
+                   rt_.cpu().post_interrupt([this] { finish_recv(); });
                  });
 
   // Start-of-data upcall: overlap protocol header processing with the rest
@@ -268,6 +246,35 @@ void Datalink::process_pending() {
     cpu.charge_until(proto_hdr_avail);
     client->start_of_data(m, src);
   }
+}
+
+void Datalink::finish_recv() {
+  // Completions post in DMA order, so the oldest receive is this one.
+  const Rx rx = rx_.front();
+  rx_.pop_front();
+  ++packets_received_;
+  NECTAR_TRACE(trace_instant("dl.recv"));
+  obs::CausalTracer* tracer = obs::CausalTracer::active();
+  obs::TraceContext rctx =
+      tracer != nullptr ? tracer->lookup(node_id(), rx.m.data) : obs::TraceContext{};
+  if (rx.crc_ok) {
+    if (tracer != nullptr && rctx.valid()) {
+      tracer->stage(rctx, "rx.datalink", "node" + std::to_string(node_id()));
+    }
+    obs::CausalTracer::RxScope scope(rctx);
+    rx.client->end_of_data(rx.m, rx.src);
+  } else {
+    // The hardware CRC caught corruption: drop silently; reliable protocols
+    // recover by retransmission.
+    ++dropped_crc_;
+    if (tracer != nullptr && rctx.valid()) {
+      tracer->annotate(rctx, "drop.crc");
+      tracer->stage(rctx, "loss.wait", "node" + std::to_string(node_id()));
+      tracer->tag(node_id(), rx.m.data, rx.m.len, {});  // buffer is freed
+    }
+    rx.client->input_mailbox().end_get(rx.m);
+  }
+  process_pending();
 }
 
 }  // namespace nectar::proto

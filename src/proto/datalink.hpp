@@ -2,6 +2,7 @@
 
 #include <array>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <vector>
 
@@ -121,11 +122,23 @@ class Datalink {
  private:
   void process_pending();  // interrupt context
   void discard_front();    // interrupt context
+  void finish_recv();      // interrupt context: the oldest receive's DMA is done
   void trace_instant(const char* label);
 
   core::CabRuntime& rt_;
   std::map<int, hw::RouteRef> routes_;
   std::array<DatalinkClient*, 256> clients_{};
+
+  // Receives whose DMA has started, oldest first. Held here, not in the DMA
+  // completion and interrupt captures, so both fit their inline buffers: a
+  // heap-spilled interrupt would leak if a run ends while it is suspended.
+  struct Rx {
+    core::Message m;
+    DatalinkClient* client;
+    std::uint8_t src;
+    bool crc_ok = false;
+  };
+  std::deque<Rx> rx_;
 
   std::uint64_t packets_sent_ = 0;
   std::uint64_t packets_received_ = 0;

@@ -91,8 +91,6 @@ const Table<ScenarioSpec> kScenarioKeys{"scenario", {
     {"tcp_congestion", &ScenarioSpec::tcp_congestion},
     {"software_checksum", &ScenarioSpec::software_checksum},
     {"mtu", &ScenarioSpec::mtu},
-    {"substrate_metrics", &ScenarioSpec::substrate_metrics},
-    {"attach_metrics", &ScenarioSpec::attach_metrics},
 }};
 
 const Table<TopologySpec> kTopologyKeys{"topology", {
@@ -261,6 +259,18 @@ int parse_capture_node(const std::string& element, int nodes) {
 }  // namespace
 
 ScenarioSpec ScenarioSpec::from_config(const Config& cfg) {
+  // A misspelled header would otherwise drop its whole section silently.
+  // Keys above the first header land in the parser's unnamed section.
+  const auto known = vocabulary();
+  for (const Section& s : cfg.sections()) {
+    if (s.name.empty()) {
+      throw std::runtime_error("config: key '" + s.values.begin()->first +
+                               "' is outside any [section]");
+    }
+    if (known.count(s.name) == 0) {
+      throw std::runtime_error("config: unknown section [" + s.name + "]");
+    }
+  }
   ScenarioSpec spec;
   bind_first(cfg, kScenarioKeys, spec);
   bind_first(cfg, kTopologyKeys, spec.topology);
@@ -357,7 +367,6 @@ Scenario::Scenario(ScenarioSpec spec) : spec_(std::move(spec)), net_(spec_.paral
     stacks_.push_back(std::make_unique<net::NodeStack>(net_, i, tc,
                                                        static_cast<std::size_t>(spec_.mtu)));
   }
-  if (spec_.substrate_metrics) net_.register_substrate_metrics();
   if (spec_.routing.enabled) {
     // Every per-element RNG in the control plane (ECMP tie-breaks, probe
     // phases) derives from the scenario master seed, like faults/workloads.
@@ -411,8 +420,7 @@ Scenario::Scenario(ScenarioSpec spec) : spec_(std::move(spec)), net_(spec_.paral
   }
   if (spec_.telemetry.enabled) {
     // Substrate probes (HUB crossbar, engine pools) plus per-workload flow
-    // counters feed the sampler; registration is idempotent, so this
-    // composes with [scenario] substrate_metrics.
+    // counters feed the sampler.
     net_.register_substrate_metrics();
     telemetry_reg_ = obs::Registration(net_.metrics());
     for (auto& w : workloads_) w->register_metrics(telemetry_reg_);
@@ -627,7 +635,6 @@ obs::RunReport Scenario::report() {
       }
     }
   }
-  if (spec_.attach_metrics) rep.attach_metrics(net_.metrics().snapshot());
   if (net_.profiler().enabled()) {
     obs::json::Value prof = net_.profiler().summary();
     // Profiling charges no simulated time (a disabled-check branch per charge

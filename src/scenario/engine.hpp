@@ -97,8 +97,6 @@ struct ScenarioSpec {
   bool tcp_congestion = true;      ///< scenarios default to the full stack
   bool software_checksum = true;
   std::int64_t mtu = static_cast<std::int64_t>(proto::Ip::kDefaultMtu);
-  bool substrate_metrics = false;  ///< HUB/pool probes into the report
-  bool attach_metrics = false;     ///< full metrics snapshot in the report
   /// Conservative-parallel execution ([parallel] section). shards=1 (the
   /// default) runs the sequential engine and reproduces legacy reports
   /// byte-for-byte. shards>1 is incompatible with [tracing] and [routing]
@@ -131,8 +129,8 @@ struct ScenarioSpec {
   /// malformed input.
   static ScenarioSpec from_config(const Config& cfg);
 
-  /// Every key from_config accepts, by section name (docs/SCENARIOS.md's
-  /// reference block is tested against it).
+  /// Every section and key from_config accepts, by section name
+  /// (docs/SCENARIOS.md's reference block is tested against it).
   static std::map<std::string, std::vector<std::string>> vocabulary();
 };
 

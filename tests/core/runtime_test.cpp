@@ -71,15 +71,24 @@ TEST(Runtime, PacketHandlerRunsInInterruptContext) {
 
 TEST(Runtime, TraceMarksFlowToSharedRecorder) {
   sim::Engine engine;
-  sim::TraceRecorder trace(engine);
-  hw::CabBoard board(engine, "cab0", 0);
-  CabRuntime rt(board, &trace);
-  rt.fork_system("t", [&] {
-    rt.cpu().charge(sim::usec(5));
-    rt.trace_mark("checkpoint");
+  obs::Tracer tracer(engine);
+  tracer.set_enabled(true);
+  hw::CabBoard board0(engine, "cab0", 0), board1(engine, "cab1", 1);
+  CabRuntime rt0(board0, nullptr, &tracer), rt1(board1, nullptr, &tracer);
+  rt0.fork_system("t", [&] {
+    rt0.cpu().charge(sim::usec(5));
+    rt0.trace_mark("checkpoint");
   });
+  rt1.fork_system("t", [&] { rt1.trace_mark("other"); });
   engine.run();
-  EXPECT_GT(trace.mark_time("checkpoint"), 0);
+  // Each mark is an instant on its own CAB's CPU track of the one tracer.
+  const obs::Tracer::Event* e = tracer.find("checkpoint");
+  ASSERT_NE(e, nullptr);
+  EXPECT_EQ(e->type, obs::Tracer::EventType::Instant);
+  EXPECT_EQ(e->track, tracer.track("node0", "cab.cpu"));
+  EXPECT_GE(e->ts, sim::usec(5));
+  ASSERT_NE(tracer.find("other"), nullptr);
+  EXPECT_EQ(tracer.find("other")->track, tracer.track("node1", "cab.cpu"));
 }
 
 TEST(Runtime, TraceMarkWithoutRecorderIsSafe) {

@@ -113,6 +113,26 @@ TEST(ConfigTest, EverySectionRejectsUnknownKeys) {
   EXPECT_TRUE(rejects("[sessions]\nchanels = 100\n"));
 }
 
+// A misspelled section header, or a key above the first header, must fail
+// too: otherwise the whole section, or the key, is dropped without a word.
+TEST(ConfigTest, UnknownSectionThrowsNamingIt) {
+  try {
+    ScenarioSpec::from_config(Config::parse_string("[tracng]\nenabled = true\n"));
+    FAIL() << "[tracng] was accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("[tracng]"), std::string::npos) << e.what();
+  }
+}
+
+TEST(ConfigTest, KeyBeforeFirstSectionThrowsNamingIt) {
+  try {
+    ScenarioSpec::from_config(Config::parse_string("seed = 5\n[scenario]\nname = x\n"));
+    FAIL() << "a key above the first header was accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("'seed'"), std::string::npos) << e.what();
+  }
+}
+
 // Disabled sections still validate their values — a typo'd *value* must not
 // hide behind enabled=false.
 TEST(ConfigTest, DisabledSectionsStillValidateValues) {
