@@ -74,6 +74,8 @@ constexpr sim::SimTime kWindow = sim::msec(50);
 constexpr sim::SimTime kFaultAt = sim::msec(500);
 constexpr sim::SimTime kWarmup = sim::msec(100);
 constexpr double kRecoverTarget = 0.9;
+// Detection plus switch is bounded near 55 ms by the [routing] settings above.
+constexpr sim::SimTime kMaxRerouteP99 = sim::msec(100);
 
 int run(const BenchOptions& options) {
   scenario::ScenarioSpec spec =
@@ -165,6 +167,16 @@ int run(const BenchOptions& options) {
                  recovered, 100.0 * kRecoverTarget, prefault);
     return 1;
   }
+  const double reroute_p99 = rm.reroute_latency().p99();
+  if (reroute_p99 <= 0 || reroute_p99 > static_cast<double>(kMaxRerouteP99)) {
+    std::fprintf(stderr, "FAIL: reroute p99 %.1f us outside (0, %.0f ms]\n",
+                 reroute_p99 / sim::kMicrosecond, sim::to_msec(kMaxRerouteP99));
+    return 1;
+  }
+  if (recovery_ms <= 0) {
+    std::fprintf(stderr, "FAIL: goodput never recovered after the fault\n");
+    return 1;
+  }
   return 0;
 }
 
@@ -172,5 +184,6 @@ int run(const BenchOptions& options) {
 }  // namespace nectar::bench
 
 int main(int argc, char** argv) {
-  return nectar::bench::run(nectar::bench::parse_options(argc, argv));
+  using namespace nectar::bench;
+  return run(parse_options(argc, argv, kTrace | kProfile));
 }

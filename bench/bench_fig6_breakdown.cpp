@@ -117,7 +117,7 @@ Breakdown measure(const BenchOptions& opts, obs::Snapshot* metrics_out) {
 
 int main(int argc, char** argv) {
   using namespace nectar::bench;
-  BenchOptions opts = parse_options(argc, argv);
+  BenchOptions opts = parse_options(argc, argv, kTrace | kProfile);
   print_header("Figure 6: one-way host-to-host datagram latency breakdown (64 bytes)");
 
   nectar::obs::Snapshot metrics;

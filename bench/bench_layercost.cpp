@@ -136,7 +136,7 @@ void print_phase(const char* name, const PhaseResult& r) {
 
 int main(int argc, char** argv) {
   using namespace nectar::bench;
-  BenchOptions opts = parse_options(argc, argv);
+  BenchOptions opts = parse_options(argc, argv, kProfile);
   print_header("Layer cost attribution: per-domain CPU cycles, UDP vs TCP (paper §6.2)");
 
   constexpr std::size_t kSmall = 64;

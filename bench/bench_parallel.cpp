@@ -2,17 +2,17 @@
 // counts 1/2/4/8 under the conservative-parallel engine (sim::ParallelEngine,
 // docs/ARCHITECTURE.md "Sharded parallel simulation").
 //
-// Two speedup notions are reported per shard count:
+// The report holds simulated-execution rows only, so BENCH_parallel.json is
+// a golden report (ctest golden_parallel). Per shard count:
 //   * ideal_speedup — total events / critical-path events, where the
 //     critical path sums the busiest shard's event count over every
 //     synchronization window. This is the speedup a K-core host cannot
-//     exceed with this partition and lookahead, it is a pure function of
-//     (spec, seed, shards), and it is what CI's schema gate checks (>= 3x
-//     at 8 shards).
-//   * wall_ms — host wall-clock for the run. Informative only: CI builders
-//     (and this curve's committed run) may have a single core, where the
-//     barrier overhead makes wall time *worse* with more shards. The
-//     deterministic rows are the contract; wall numbers are never compared.
+//     exceed with this partition and lookahead, and it is a pure function
+//     of (spec, seed, shards). The bench exits non-zero unless it is
+//     exactly 1 at one shard and >= 3 at 8 shards.
+//   * wall ms — host wall-clock for the run, printed to stdout only. The
+//     engine's real speedup is measured by perfbench
+//     (sim.parallel.real_speedup), in a Release build with machine context.
 //
 // The traffic pattern strides messages exactly one leaf over, so every
 // message crosses the spine (the hardest case for a sharded simulator: all
@@ -137,7 +137,16 @@ int run(const BenchOptions& options) {
     report.add(k + ".windows", static_cast<double>(p.windows), "count");
     report.add(k + ".cross_events", static_cast<double>(p.cross), "events");
     report.add(k + ".delivered", static_cast<double>(p.delivered), "msgs");
-    report.add(k + ".wall_ms", p.wall_ms, "ms");
+    // The curve's two anchors: one shard is the sequential run, and the
+    // 512-node partition must leave room for 3x at 8 shards.
+    if (shards == 1 && ideal != 1.0) {
+      std::fprintf(stderr, "error: ideal speedup %.3fx at 1 shard (want exactly 1)\n", ideal);
+      return 1;
+    }
+    if (shards == 8 && ideal < 3.0) {
+      std::fprintf(stderr, "error: ideal speedup %.2fx at 8 shards (want >= 3)\n", ideal);
+      return 1;
+    }
   }
 
   if (!options.telemetry_path.empty()) {
@@ -174,5 +183,6 @@ int run(const BenchOptions& options) {
 }  // namespace nectar::bench
 
 int main(int argc, char** argv) {
-  return nectar::bench::run(nectar::bench::parse_options(argc, argv));
+  using namespace nectar::bench;
+  return run(parse_options(argc, argv, kTelemetry));
 }

@@ -9,8 +9,9 @@
 //          at 220ms kills node 1: every trunk toward it must fail its
 //          channels with attribution instead of hanging. The bench exits
 //          non-zero unless >= 10'000 channels per node actually opened,
-//          admission refused some, the crash surfaced as trunk failures, and
-//          delivery stayed lossless modulo the crash window.
+//          admission refused some, the crash surfaced as trunk failures,
+//          trunks batched more than 2 frames per message, and delivery
+//          stayed lossless modulo the crash window.
 //
 //   hol    4-node star, both probe channels sharing ONE trunk. Channel 0's
 //          inbound credit is frozen for 60ms mid-run; per-channel flow
@@ -19,8 +20,7 @@
 //          trunk the victim is wedged on.
 //
 // Everything reported is simulated time only, so the committed JSON must
-// regenerate byte-for-byte (CI runs the bench twice and cmp's, then diffs
-// against BENCH_sessions.json via tools/bench_diff).
+// regenerate byte-for-byte (ctest golden_sessions).
 
 #include <cmath>
 #include <map>
@@ -166,6 +166,11 @@ int run_scale(const BenchOptions&, obs::RunReport& report) {
   }
   if (churn <= 0) {
     std::fprintf(stderr, "error: the churn storm never cycled a channel\n");
+    rc = 1;
+  }
+  // Trunks exist to batch: a trunk message must carry several channel frames.
+  if (frames_per_msg <= 2.0) {
+    std::fprintf(stderr, "error: %.2f frames per trunk message (want > 2)\n", frames_per_msg);
     rc = 1;
   }
   // Backpressure is shed, never loss: only the crash window may strand sent

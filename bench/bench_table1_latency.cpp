@@ -284,7 +284,7 @@ double host_udp_rtt() {
 
 int main(int argc, char** argv) {
   using namespace nectar::bench;
-  BenchOptions opts = parse_options(argc, argv);
+  BenchOptions opts = parse_options(argc, argv, kTrace);
   print_header("Table 1: round-trip latency (usec), 64-byte messages");
 
   struct Row {

@@ -22,7 +22,8 @@
 
 namespace nectar::bench {
 
-/// Flags every bench binary understands:
+/// Output flags. Every bench takes --json; the others only where the bench
+/// implements them (it passes them to parse_options):
 ///   --json <path>       write a machine-readable run report (obs::RunReport)
 ///   --trace <path>      export a Chrome trace-event timeline of (part of) the run
 ///   --profile <path>    enable the cycle-attribution profiler and write its
@@ -33,6 +34,8 @@ namespace nectar::bench {
 ///                       and write the "nectar-timeseries" artifact (see
 ///                       docs/OBSERVABILITY.md). Sampling is pull-based, so a
 ///                       single-shard run's event stream is unchanged.
+enum Flag : unsigned { kTrace = 1, kProfile = 2, kTelemetry = 4 };
+
 struct BenchOptions {
   std::string json_path;
   std::string trace_path;
@@ -40,25 +43,33 @@ struct BenchOptions {
   std::string telemetry_path;
 };
 
-inline BenchOptions parse_options(int argc, char** argv) {
+/// Parse --json plus the `flags` this bench implements. Any other argument,
+/// or a flag without its path, prints usage and exits 2.
+inline BenchOptions parse_options(int argc, char** argv, unsigned flags = 0) {
   BenchOptions o;
+  const struct {
+    unsigned flag;
+    const char* name;
+    std::string* path;
+  } known[] = {{0, "--json", &o.json_path},
+               {kTrace, "--trace", &o.trace_path},
+               {kProfile, "--profile", &o.profile_path},
+               {kTelemetry, "--telemetry", &o.telemetry_path}};
+  auto offered = [flags](unsigned flag) { return flag == 0 || (flags & flag) != 0; };
   for (int i = 1; i < argc; ++i) {
-    std::string a = argv[i];
-    if (a == "--json" && i + 1 < argc) {
-      o.json_path = argv[++i];
-    } else if (a == "--trace" && i + 1 < argc) {
-      o.trace_path = argv[++i];
-    } else if (a == "--profile" && i + 1 < argc) {
-      o.profile_path = argv[++i];
-    } else if (a == "--telemetry" && i + 1 < argc) {
-      o.telemetry_path = argv[++i];
-    } else {
-      std::fprintf(stderr,
-                   "usage: %s [--json <path>] [--trace <path>] [--profile <path>]"
-                   " [--telemetry <path>]\n",
-                   argv[0]);
+    std::string* path = nullptr;
+    for (const auto& k : known) {
+      if (offered(k.flag) && argv[i] == std::string(k.name)) path = k.path;
+    }
+    if (path == nullptr || i + 1 >= argc) {
+      std::string usage;
+      for (const auto& k : known) {
+        if (offered(k.flag)) usage += std::string(" [") + k.name + " <path>]";
+      }
+      std::fprintf(stderr, "usage: %s%s\n", argv[0], usage.c_str());
       std::exit(2);
     }
+    *path = argv[++i];
   }
   return o;
 }

@@ -51,7 +51,7 @@ void Cpu::thread_trampoline(Thread* t, const std::function<void()>& body) {
   t->state_ = Thread::State::Finished;
   for (Thread* j : t->joiners_) wake(j);
   t->joiners_.clear();
-  NECTAR_TRACE(trace_thread_out());
+  trace_thread_out();
   current_ = nullptr;
   // Returning ends the fiber; dispatch() continues with the next thread.
 }
@@ -119,7 +119,7 @@ void Cpu::yield() {
   self->state_ = Thread::State::Ready;
   if (profiling()) self->ready_at_ = engine_.now();
   run_queue_.push(self);
-  NECTAR_TRACE(trace_thread_out());
+  trace_thread_out();
   current_ = nullptr;
   sim::Fiber::suspend();
 }
@@ -134,7 +134,7 @@ void Cpu::block() {
   // its stale timer.
   ++self->sleep_gen_;
   self->state_ = Thread::State::Blocked;
-  NECTAR_TRACE(trace_thread_out());
+  trace_thread_out();
   current_ = nullptr;
   sim::Fiber::suspend();
 }
@@ -147,7 +147,7 @@ void Cpu::block_unmasked() {
   assert(irq_disable_depth_ > 0 && "block_unmasked requires the interrupt mask held");
   ++self->sleep_gen_;  // see block(): invalidates stale sleep timers
   self->state_ = Thread::State::Blocked;
-  NECTAR_TRACE(trace_thread_out());
+  trace_thread_out();
   current_ = nullptr;
   // Drop the mask *after* marking ourselves blocked: a pending interrupt
   // delivered once we suspend can therefore wake us without a lost-wakeup
@@ -200,7 +200,7 @@ void Cpu::irq_loop() {
       IrqHandler h = std::move(irq_queue_.front());
       irq_queue_.pop_front();
       ++interrupts_taken_;
-      NECTAR_TRACE(if (obs::tracing(tracer_)) tracer_->begin(trace_track_, "irq"));
+      if (obs::tracing(tracer_)) tracer_->begin(trace_track_, "irq");
       {
         obs::CostScope scope("irq/dispatch");
         charge(sim::costs::kInterruptEntry);
@@ -210,7 +210,7 @@ void Cpu::irq_loop() {
         obs::CostScope scope("irq/dispatch");
         charge(sim::costs::kInterruptExit);
       }
-      NECTAR_TRACE(if (obs::tracing(tracer_)) tracer_->end(trace_track_, "irq"));
+      if (obs::tracing(tracer_)) tracer_->end(trace_track_, "irq");
     }
     irq_active_ = false;
     sim::Fiber::suspend();
@@ -279,7 +279,7 @@ void Cpu::dispatch() {
         profiler_->add_queue_wait(name_, t->name(), engine_.now() - t->ready_at_);
       }
       t->ready_at_ = -1;
-      NECTAR_TRACE(trace_thread_in(t));
+      trace_thread_in(t);
       resume_fiber(t->fiber_);
     } else if (irq_active_ || (!irq_queue_.empty() && irq_disable_depth_ == 0)) {
       irq_active_ = true;
@@ -294,10 +294,8 @@ void Cpu::dispatch() {
           prev->state_ = Thread::State::Ready;
           if (profiling()) prev->ready_at_ = engine_.now();
           run_queue_.push(prev);
-          NECTAR_TRACE({
-            trace_instant("cpu.preempt");
-            trace_thread_out();
-          });
+          trace_instant("cpu.preempt");
+          trace_thread_out();
           current_ = nullptr;
           ++context_switches_;
           switch_target_ = run_queue_.pop_best();

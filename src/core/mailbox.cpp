@@ -84,7 +84,7 @@ std::optional<Message> Mailbox::alloc_message(std::uint32_t size) {
 Message Mailbox::begin_put(std::uint32_t size) {
   Cpu& c = caller();
   if (c.in_interrupt()) throw std::logic_error("begin_put in interrupt context: use begin_put_try");
-  NECTAR_TRACE(trace_op(c, "begin_put"));
+  trace_op(c, "begin_put");
   obs::CostScope scope("mailbox/begin_put");
   bool small = size <= kSmallBufSize;
   c.charge(small ? costs::kMailboxBeginPutCached : costs::kMailboxBeginPut);
@@ -137,7 +137,7 @@ void Mailbox::publish(Message m, Cpu& c) {
 void Mailbox::end_put(Message m) {
   if (!m.valid()) throw std::logic_error("end_put: invalid message");
   Cpu& c = caller();
-  NECTAR_TRACE(trace_op(c, "end_put"));
+  trace_op(c, "end_put");
   obs::CostScope scope("mailbox/end_put");
   c.charge(costs::kMailboxEndPut);
   publish(m, c);
@@ -146,7 +146,7 @@ void Mailbox::end_put(Message m) {
 Message Mailbox::begin_get() {
   Cpu& c = caller();
   if (c.in_interrupt()) throw std::logic_error("begin_get in interrupt context: use begin_get_try");
-  NECTAR_TRACE(trace_op(c, "begin_get"));
+  trace_op(c, "begin_get");
   obs::CostScope scope("mailbox/begin_get");
   c.charge(costs::kMailboxBeginGet);
   InterruptGuard g(c);
@@ -190,7 +190,7 @@ void Mailbox::release_storage(const Message& m) {
 void Mailbox::end_get(Message m) {
   if (!m.valid()) throw std::logic_error("end_get: invalid message");
   Cpu& c = caller();
-  NECTAR_TRACE(trace_op(c, "end_get"));
+  trace_op(c, "end_get");
   obs::CostScope scope("mailbox/end_get");
   c.charge(costs::kMailboxEndGet);
   release_storage(m);
@@ -199,7 +199,7 @@ void Mailbox::end_get(Message m) {
 void Mailbox::enqueue(Message m, Mailbox& dst) {
   if (!m.valid()) throw std::logic_error("enqueue: invalid message");
   Cpu& c = caller();
-  NECTAR_TRACE(trace_op(c, "enqueue"));
+  trace_op(c, "enqueue");
   obs::CostScope scope("mailbox/enqueue");
   // §3.3: Enqueue "moves the message without copying the data ... by simply
   // moving pointers."

@@ -70,8 +70,8 @@ class CabRuntime {
 
   /// A named point on this CAB's CPU track (protocol marks, Figure-6
   /// breakdown points); recorded only while the tracer is enabled.
-  void trace_mark([[maybe_unused]] const char* label) {
-    NECTAR_TRACE(if (obs::tracing(cpu_.tracer())) cpu_.tracer()->instant(cpu_.trace_track(), label));
+  void trace_mark(const char* label) {
+    if (obs::tracing(cpu_.tracer())) cpu_.tracer()->instant(cpu_.trace_track(), label);
   }
 
   /// The registry this node reports into (network-wide or the private

@@ -67,10 +67,10 @@ void FiberLink::try_start() {
 
   // The head serializes one frame at a time, so explicit-stamp spans on the
   // wire track never overlap.
-  NECTAR_TRACE(if (obs::tracing(tracer_)) {
+  if (obs::tracing(tracer_)) {
     tracer_->begin_at(trace_track_, "link.tx", engine_.now());
     tracer_->end_at(trace_track_, "link.tx", engine_.now() + ttime);
-  });
+  }
 
   // The link head frees once the last byte leaves the transmitter.
   engine_.schedule_in(ttime, [this] { on_head_sent(); });
@@ -79,7 +79,7 @@ void FiberLink::try_start() {
     if (!down_) --scripted_drops_armed_;
     ++frames_dropped_;
     ++frames_dropped_faulted_;  // element failure, not the random stream
-    NECTAR_TRACE(if (obs::tracing(tracer_)) tracer_->instant(trace_track_, "link.drop"));
+    if (obs::tracing(tracer_)) tracer_->instant(trace_track_, "link.drop");
     if (f.trace.valid()) {
       if (auto* ct = obs::CausalTracer::active()) {
         ct->annotate(f.trace, "drop.link_down");
@@ -91,7 +91,7 @@ void FiberLink::try_start() {
 
   if (drop_rate_ > 0 && drop_rng_.chance(drop_rate_)) {
     ++frames_dropped_;  // the frame evaporates mid-flight
-    NECTAR_TRACE(if (obs::tracing(tracer_)) tracer_->instant(trace_track_, "link.drop"));
+    if (obs::tracing(tracer_)) tracer_->instant(trace_track_, "link.drop");
     if (f.trace.valid()) {
       if (auto* ct = obs::CausalTracer::active()) {
         ct->annotate(f.trace, "drop.link");
@@ -109,7 +109,7 @@ void FiberLink::try_start() {
     }
     f.corrupted = true;
     ++frames_corrupted_;
-    NECTAR_TRACE(if (obs::tracing(tracer_)) tracer_->instant(trace_track_, "link.corrupt"));
+    if (obs::tracing(tracer_)) tracer_->instant(trace_track_, "link.corrupt");
   }
 
   // The frame rides in the in-flight queue (first-byte order) rather than in

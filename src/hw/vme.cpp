@@ -31,7 +31,7 @@ void VmeBus::stall_for(sim::SimTime duration) {
   stall_time_ += duration;
   sim::SimTime end = acquire(duration);
   if (occupying(profiler_)) profiler_->record_occupancy(name_, "stall", duration);
-  NECTAR_TRACE(trace_span("vme.stall", end - duration, end));
+  trace_span("vme.stall", end - duration, end);
 }
 
 sim::SimTime VmeBus::programmed_access(std::size_t words) {
@@ -39,7 +39,7 @@ sim::SimTime VmeBus::programmed_access(std::size_t words) {
   sim::SimTime duration = static_cast<sim::SimTime>(words) * word_access_;
   sim::SimTime end = acquire(duration);
   if (occupying(profiler_)) profiler_->record_occupancy(name_, "pio", duration);
-  NECTAR_TRACE(trace_span("vme.pio", end - duration, end));
+  trace_span("vme.pio", end - duration, end);
   return end;
 }
 
@@ -50,7 +50,7 @@ void VmeBus::dma_transfer(std::size_t bytes, std::function<void()> done) {
                           sim::transmit_time(static_cast<std::int64_t>(bytes), dma_rate_);
   sim::SimTime end = acquire(duration);
   if (occupying(profiler_)) profiler_->record_occupancy(name_, "dma", duration);
-  NECTAR_TRACE(trace_span("vme.dma", end - duration, end));
+  trace_span("vme.dma", end - duration, end);
   engine_.schedule_at(end, std::move(done));
 }
 

@@ -82,7 +82,7 @@ void Rmp::transmit_head(int node) {
   h.serialize(hdr->push_front(proto::NectarHeader::kSize));
 
   ++sent_;
-  NECTAR_TRACE(runtime().trace_mark("rmp.xmit"));
+  runtime().trace_mark("rmp.xmit");
   if (p.ctx.valid()) {
     if (auto* ct = obs::CausalTracer::active()) {
       ct->stage(p.ctx, "tx.rmp", "node" + std::to_string(dl_.node_id()));
@@ -173,7 +173,7 @@ void Rmp::send_ack(int node, std::uint16_t seq) {
   proto::HeaderBufLease hdr = proto::HeaderBufLease::acquire();
   h.serialize(hdr->push_front(proto::NectarHeader::kSize));
   ++acks_sent_;
-  NECTAR_TRACE(runtime().trace_mark("rmp.ack"));
+  runtime().trace_mark("rmp.ack");
   dl_.send(proto::PacketType::Rmp, node, std::move(hdr), hw::kDataBase, 0);
 }
 
@@ -220,7 +220,7 @@ void Rmp::end_of_data(core::Message m, std::uint8_t src_node) {
     return;
   }
   ++delivered_;
-  NECTAR_TRACE(runtime().trace_mark("rmp.deliver"));
+  runtime().trace_mark("rmp.deliver");
   ++rc.expected_seq;
   core::Message payload = core::Mailbox::adjust_prefix(m, proto::NectarHeader::kSize);
   if (ct != nullptr && rctx.valid()) {

@@ -11,8 +11,7 @@
 //
 // Cost model: disabled (the default) every hook is a pointer/flag check;
 // enabled, one vector push per event, *zero* simulated time either way —
-// tracing never perturbs measured results. Builds that want the hooks gone
-// entirely compile with -DNECTAR_TRACE_DISABLED (see NECTAR_TRACE below).
+// tracing never perturbs measured results.
 
 #include <cstdint>
 #include <iosfwd>
@@ -22,18 +21,6 @@
 
 #include "sim/engine.hpp"
 #include "sim/time.hpp"
-
-// Wrap instrumentation statements so they can be compiled out wholesale.
-#if defined(NECTAR_TRACE_DISABLED)
-#define NECTAR_TRACE(stmt) \
-  do {                     \
-  } while (0)
-#else
-#define NECTAR_TRACE(stmt) \
-  do {                     \
-    stmt;                  \
-  } while (0)
-#endif
 
 namespace nectar::obs {
 

@@ -99,7 +99,7 @@ void Datalink::send_via(PacketType type, const hw::RouteRef& route, int dst_node
 
   ++packets_sent_;
   packet_bytes_->observe(static_cast<std::int64_t>(proto_len + len));
-  NECTAR_TRACE(trace_instant("dl.send"));
+  trace_instant("dl.send");
   hw::SendCallback completion;
   if (on_sent) {
     core::Cpu& cpu = rt_.cpu();
@@ -135,7 +135,7 @@ void Datalink::send_mcast(PacketType type, const hw::McastRef& mcast, HeaderBufL
 
   ++packets_sent_;
   packet_bytes_->observe(static_cast<std::int64_t>(proto_len + len));
-  NECTAR_TRACE(trace_instant("dl.send"));
+  trace_instant("dl.send");
   hw::SendCallback completion;
   if (on_sent) {
     core::Cpu& cpu = rt_.cpu();
@@ -253,7 +253,7 @@ void Datalink::finish_recv() {
   const Rx rx = rx_.front();
   rx_.pop_front();
   ++packets_received_;
-  NECTAR_TRACE(trace_instant("dl.recv"));
+  trace_instant("dl.recv");
   obs::CausalTracer* tracer = obs::CausalTracer::active();
   obs::TraceContext rctx =
       tracer != nullptr ? tracer->lookup(node_id(), rx.m.data) : obs::TraceContext{};

@@ -72,7 +72,7 @@ void Ip::output(const OutputInfo& info, HeaderBufLease proto_header, hw::CabAddr
   std::size_t max_payload = (mtu_ - IpHeader::kSize) & ~std::size_t{7};
   std::uint16_t id = next_id_++;
   ++sent_;
-  NECTAR_TRACE(dl_.runtime().trace_mark("ip.output"));
+  dl_.runtime().trace_mark("ip.output");
 
   auto make_header = [&](std::size_t off, std::size_t chunk, bool more) {
     IpHeader h;
@@ -205,7 +205,7 @@ void Ip::deliver(core::Message m, const IpHeader& hdr) {
     return;
   }
   ++delivered_;
-  NECTAR_TRACE(dl_.runtime().trace_mark("ip.deliver"));
+  dl_.runtime().trace_mark("ip.deliver");
   if (auto* ct = obs::CausalTracer::active()) {
     obs::TraceContext rctx = ct->rx_context();
     if (rctx.valid()) ct->stage(rctx, "mbox.wait", "node" + std::to_string(dl_.node_id()));

@@ -280,7 +280,7 @@ void Tcp::emit(TcpConnection* c, std::uint8_t flags, std::uint32_t seq, hw::CabA
   }
 
   ++segs_sent_;
-  NECTAR_TRACE(runtime().trace_mark("tcp.segment-sent"));
+  runtime().trace_mark("tcp.segment-sent");
   Ip::OutputInfo info;
   info.dst = c->remote_addr_;
   info.protocol = kProtoTcp;
@@ -529,7 +529,7 @@ void Tcp::process_segment(core::Message m) {
   obs::CostScope scope("tcp/input");
   cpu.charge(costs::kTcpSegment);
   ++segs_rcvd_;
-  NECTAR_TRACE(runtime().trace_mark("tcp.segment-received"));
+  runtime().trace_mark("tcp.segment-received");
 
   if (m.len < kCombinedHeader) {
     input_.end_get(m);

@@ -16,11 +16,7 @@ void CollectivesSpec::validate() const {
   }
   coll::parse_algorithm(algorithm);  // reject typos at parse time
   coll::parse_reduce_op(reduce);
-  if (payload < 1 || payload > 32768) {
-    throw std::invalid_argument("collectives: payload must be in [1, 32768]");
-  }
   if (iterations < 0) throw std::invalid_argument("collectives: iterations must be >= 0");
-  if (fanout < 1) throw std::invalid_argument("collectives: fanout must be >= 1");
   if (timeout <= 0) throw std::invalid_argument("collectives: timeout must be > 0");
   if (retransmit <= 0) throw std::invalid_argument("collectives: retransmit must be > 0");
 }
@@ -91,10 +87,10 @@ coll::GroupSpec CollectiveDriver::make_group_spec() const {
   std::iota(g.members.begin(), g.members.end(), 0);
   g.root_rank = 0;
   g.algorithm = coll::parse_algorithm(spec_.algorithm);
-  g.fanout = static_cast<int>(spec_.fanout);
   g.timeout = spec_.timeout;
   g.retransmit = spec_.retransmit;
-  if (spec_.mode == "cab" && spec_.multicast && g.members.size() > 1) {
+  // The CAB engine hands the HUB a distribution tree for its releases.
+  if (spec_.mode == "cab" && g.members.size() > 1) {
     g.mcast = net_.mcast_ref(g.members[static_cast<std::size_t>(g.root_rank)], g.members);
   }
   return g;
@@ -157,8 +153,7 @@ bool CollectiveDriver::run_one(int node, std::int64_t iter, std::vector<std::uin
 }
 
 void CollectiveDriver::worker_loop(int node) {
-  std::vector<std::uint8_t> buf(
-      op_ == Op::Bcast ? static_cast<std::size_t>(spec_.payload) : 0);
+  std::vector<std::uint8_t> buf(op_ == Op::Bcast ? 64 : 0);  // bcast payload bytes
   core::Cpu& cpu = cab_.empty() ? host_[static_cast<std::size_t>(node)].host->cpu()
                                 : net_.runtime(node).cpu();
   for (std::int64_t it = 0; spec_.iterations == 0 || it < spec_.iterations; ++it) {

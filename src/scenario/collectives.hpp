@@ -36,13 +36,10 @@ struct CollectivesSpec {
   std::string op = "barrier";      ///< "barrier" | "bcast" | "reduce"
   std::string algorithm = "tree";  ///< "tree" | "dissemination" (barrier only)
   std::string reduce = "sum";      ///< "sum" | "min" | "max"
-  std::int64_t payload = 64;       ///< bcast payload bytes
   std::int64_t iterations = 0;     ///< ops per node; 0 = loop until the run ends
   sim::SimTime interval = 0;       ///< pause between consecutive ops
-  std::int64_t fanout = 2;         ///< tree arity
   sim::SimTime timeout = sim::msec(50);
   sim::SimTime retransmit = sim::msec(2);
-  bool multicast = true;  ///< cab mode: hand the HUB a distribution tree
 
   /// Reject typos and bad combinations at parse time.
   void validate() const;

@@ -1,5 +1,7 @@
 #include "scenario/config.hpp"
 
+#include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -19,11 +21,6 @@ std::string_view trim(std::string_view s) {
   return s;
 }
 
-[[noreturn]] void bad_value(const std::string& key, const std::string& value, const char* want) {
-  throw std::runtime_error("config: key '" + key + "': expected " + want + ", got '" + value +
-                           "'");
-}
-
 }  // namespace
 
 std::string Section::get(const std::string& key, const std::string& fallback) const {
@@ -31,12 +28,20 @@ std::string Section::get(const std::string& key, const std::string& fallback) co
   return it == values.end() ? fallback : it->second;
 }
 
+void Section::bad_value(const std::string& key, const std::string& want) const {
+  throw std::runtime_error("config: [" + name + "] key '" + key + "': expected " + want +
+                           ", got '" + get(key) + "'");
+}
+
 std::int64_t Section::get_int(const std::string& key, std::int64_t fallback) const {
   auto it = values.find(key);
   if (it == values.end()) return fallback;
   char* end = nullptr;
+  errno = 0;
   long long v = std::strtoll(it->second.c_str(), &end, 10);
-  if (end == it->second.c_str() || *end != '\0') bad_value(key, it->second, "an integer");
+  if (end == it->second.c_str() || *end != '\0' || errno == ERANGE) {
+    bad_value(key, "a 64-bit integer");
+  }
   return v;
 }
 
@@ -45,7 +50,9 @@ double Section::get_double(const std::string& key, double fallback) const {
   if (it == values.end()) return fallback;
   char* end = nullptr;
   double v = std::strtod(it->second.c_str(), &end);
-  if (end == it->second.c_str() || *end != '\0') bad_value(key, it->second, "a number");
+  if (end == it->second.c_str() || *end != '\0' || !std::isfinite(v)) {
+    bad_value(key, "a finite number");
+  }
   return v;
 }
 
@@ -55,7 +62,7 @@ bool Section::get_bool(const std::string& key, bool fallback) const {
   const std::string& v = it->second;
   if (v == "true" || v == "yes" || v == "on" || v == "1") return true;
   if (v == "false" || v == "no" || v == "off" || v == "0") return false;
-  bad_value(key, v, "a boolean");
+  bad_value(key, "a boolean");
 }
 
 sim::SimTime Section::get_time(const std::string& key, sim::SimTime fallback) const {
@@ -64,7 +71,7 @@ sim::SimTime Section::get_time(const std::string& key, sim::SimTime fallback) co
   try {
     return parse_time(it->second);
   } catch (const std::exception&) {
-    bad_value(key, it->second, "a duration (e.g. 250us, 5ms, 2s)");
+    bad_value(key, "a duration in [0, 2^63) ns (e.g. 250us, 5ms, 2s)");
   }
 }
 
@@ -87,7 +94,11 @@ sim::SimTime parse_time(std::string_view text) {
   } else {
     throw std::runtime_error("bad duration unit: " + std::string(unit));
   }
-  return static_cast<sim::SimTime>(v * scale);
+  // SimTime counts nanoseconds in an int64: the cast is defined only below
+  // 2^63. The negated test also rejects nan.
+  const double ns = v * scale;
+  if (!(ns >= 0.0 && ns < 0x1p63)) throw std::runtime_error("duration out of range: " + num);
+  return static_cast<sim::SimTime>(ns);
 }
 
 Config Config::parse_string(std::string_view text) {

@@ -70,14 +70,19 @@ struct Section {
   /// Typed getters: `fallback` when the key is absent; malformed values throw.
   std::string get(const std::string& key, const std::string& fallback = "") const;
   std::int64_t get_int(const std::string& key, std::int64_t fallback) const;
+  /// A finite number (nan and inf throw).
   double get_double(const std::string& key, double fallback) const;
   bool get_bool(const std::string& key, bool fallback) const;
   /// Duration with unit suffix: "250ns", "10us", "5ms", "2s" (bare numbers
   /// are nanoseconds).
   sim::SimTime get_time(const std::string& key, sim::SimTime fallback) const;
+  /// Throws std::runtime_error "config: [<name>] key '<key>': expected
+  /// <want>, got '<value>'".
+  [[noreturn]] void bad_value(const std::string& key, const std::string& want) const;
 };
 
-/// Parse a duration literal ("500ms"); throws on malformed input.
+/// Parse a duration literal ("500ms"); throws on malformed input and on a
+/// value that is negative, not finite, or not below 2^63 ns.
 sim::SimTime parse_time(std::string_view text);
 
 class Config {

@@ -3,15 +3,30 @@
 #include <algorithm>
 #include <fstream>
 #include <functional>
+#include <limits>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <type_traits>
+#include <utility>
 
 #include "sim/random.hpp"
 
 namespace nectar::scenario {
 
 namespace {
+
+/// Integer `key` of `s` (absent: `fallback`); a value that does not fit T
+/// throws rather than wrapping.
+template <class T>
+T get_fitting(const Section& s, const char* key, T fallback) {
+  const std::int64_t v = s.get_int(key, static_cast<std::int64_t>(fallback));
+  if (!std::in_range<T>(v)) {
+    s.bad_value(key, "an integer in [" + std::to_string(std::numeric_limits<T>::min()) + ", " +
+                         std::to_string(std::numeric_limits<T>::max()) + "]");
+  }
+  return static_cast<T>(v);
+}
 
 /// A duration member: sim::SimTime is std::int64_t, so a duration row needs
 /// its own type to parse "5ms" rather than a bare integer.
@@ -38,7 +53,7 @@ struct Key {
             v = s.get_double(k, v);
           } else {
             static_assert(std::is_integral_v<T>, "an enum member needs a name table");
-            v = static_cast<T>(s.get_int(k, static_cast<std::int64_t>(v)));
+            v = get_fitting(s, k, v);
           }
         }) {}
   Key(const char* n, Time<Spec> t)
@@ -88,9 +103,7 @@ const Table<ScenarioSpec> kScenarioKeys{"scenario", {
     {"name", &ScenarioSpec::name},
     {"seed", &ScenarioSpec::seed},
     {"duration", Time{&ScenarioSpec::duration}},
-    {"tcp_congestion", &ScenarioSpec::tcp_congestion},
     {"software_checksum", &ScenarioSpec::software_checksum},
-    {"mtu", &ScenarioSpec::mtu},
 }};
 
 const Table<TopologySpec> kTopologyKeys{"topology", {
@@ -119,13 +132,11 @@ const Table<WorkloadSpec> kWorkloadKeys{"workload", {
     // `size` sets both bounds; size_min / size_max, bound after it, refine.
     {"size",
      [](const Section& s, const char* k, WorkloadSpec& w) {
-       w.size_min = w.size_max = static_cast<std::uint32_t>(s.get_int(k, w.size_min));
+       w.size_min = w.size_max = get_fitting(s, k, w.size_min);
      }},
     {"size_min", &WorkloadSpec::size_min},
     {"size_max", &WorkloadSpec::size_max},
     {"stride", &WorkloadSpec::stride},
-    {"start", Time{&WorkloadSpec::start}},
-    {"port", &WorkloadSpec::port},
 }};
 
 const Table<route::RoutingConfig> kRoutingKeys{"routing", {
@@ -133,11 +144,8 @@ const Table<route::RoutingConfig> kRoutingKeys{"routing", {
     {"paths", &route::RoutingConfig::paths},
     {"probe_interval", Time{&route::RoutingConfig::probe_interval}},
     {"probe_timeout", Time{&route::RoutingConfig::probe_timeout}},
-    {"suspect_after", &route::RoutingConfig::suspect_after},
     {"dead_after", &route::RoutingConfig::dead_after},
     {"recover_after", &route::RoutingConfig::recover_after},
-    {"dead_backoff", &route::RoutingConfig::dead_backoff},
-    {"revert", &route::RoutingConfig::revert},
 }};
 
 const Table<CollectivesSpec> kCollectivesKeys{"collectives", {
@@ -146,33 +154,24 @@ const Table<CollectivesSpec> kCollectivesKeys{"collectives", {
     {"op", &CollectivesSpec::op},
     {"algorithm", &CollectivesSpec::algorithm},
     {"reduce", &CollectivesSpec::reduce},
-    {"payload", &CollectivesSpec::payload},
     {"iterations", &CollectivesSpec::iterations},
     {"interval", Time{&CollectivesSpec::interval}},
-    {"fanout", &CollectivesSpec::fanout},
     {"timeout", Time{&CollectivesSpec::timeout}},
     {"retransmit", Time{&CollectivesSpec::retransmit}},
-    {"multicast", &CollectivesSpec::multicast},
 }};
 
 const Table<SessionsSpec> kSessionsKeys{"sessions", {
     {"enabled", &SessionsSpec::enabled},
     {"trunks", &SessionsSpec::trunks},
     {"channels", &SessionsSpec::channels},
-    {"trunk_proto", &SessionsSpec::trunk_proto},
     {"stride", &SessionsSpec::stride},
     {"rate", &SessionsSpec::rate},
     {"size", &SessionsSpec::size},
-    {"start", Time{&SessionsSpec::start}},
     {"warmup", Time{&SessionsSpec::warmup}},
-    {"classes", &SessionsSpec::classes},
-    {"weight_spread", &SessionsSpec::weight_spread},
     {"initial_credit", &SessionsSpec::initial_credit},
-    {"credit_refresh", &SessionsSpec::credit_refresh},
     {"send_window", &SessionsSpec::send_window},
     {"max_batch", &SessionsSpec::max_batch},
     {"max_channels", &SessionsSpec::max_channels},
-    {"rmp_queue_cap", &SessionsSpec::rmp_queue_cap},
     {"aggregation", Time{&SessionsSpec::aggregation}},
     {"fail_timeout", Time{&SessionsSpec::fail_timeout}},
     {"churn_rate", &SessionsSpec::churn_rate},
@@ -259,9 +258,11 @@ int parse_capture_node(const std::string& element, int nodes) {
 }  // namespace
 
 ScenarioSpec ScenarioSpec::from_config(const Config& cfg) {
-  // A misspelled header would otherwise drop its whole section silently.
-  // Keys above the first header land in the parser's unnamed section.
+  // A misspelled header would otherwise drop its whole section silently,
+  // and a second [scenario] would be ignored after the first. Keys above the
+  // first header land in the parser's unnamed section.
   const auto known = vocabulary();
+  std::set<std::string> seen;
   for (const Section& s : cfg.sections()) {
     if (s.name.empty()) {
       throw std::runtime_error("config: key '" + s.values.begin()->first +
@@ -269,6 +270,12 @@ ScenarioSpec ScenarioSpec::from_config(const Config& cfg) {
     }
     if (known.count(s.name) == 0) {
       throw std::runtime_error("config: unknown section [" + s.name + "]");
+    }
+    const bool repeats = s.name == kWorkloadKeys.section || s.name == kFaultKeys.section ||
+                         s.name == kCaptureKeys.section;
+    if (!repeats && !seen.insert(s.name).second) {
+      throw std::runtime_error("config: section [" + s.name +
+                               "] appears twice (only [workload], [fault] and [capture] repeat)");
     }
   }
   ScenarioSpec spec;
@@ -362,11 +369,8 @@ Scenario::Scenario(ScenarioSpec spec) : spec_(std::move(spec)), net_(spec_.paral
   int n = build_topology(net_, spec_.topology, spec_.seed, spec_.parallel);
   proto::TcpConfig tc;
   tc.software_checksum = spec_.software_checksum;
-  tc.congestion_control = spec_.tcp_congestion;
-  for (int i = 0; i < n; ++i) {
-    stacks_.push_back(std::make_unique<net::NodeStack>(net_, i, tc,
-                                                       static_cast<std::size_t>(spec_.mtu)));
-  }
+  tc.congestion_control = true;  // scenarios run the full stack
+  for (int i = 0; i < n; ++i) stacks_.push_back(std::make_unique<net::NodeStack>(net_, i, tc));
   if (spec_.routing.enabled) {
     // Every per-element RNG in the control plane (ECMP tie-breaks, probe
     // phases) derives from the scenario master seed, like faults/workloads.

@@ -23,7 +23,6 @@
 #include "obs/pcap.hpp"
 #include "obs/report.hpp"
 #include "obs/timeseries.hpp"
-#include "proto/ip.hpp"
 #include "route/manager.hpp"
 #include "scenario/collectives.hpp"
 #include "scenario/config.hpp"
@@ -94,9 +93,7 @@ struct ScenarioSpec {
   std::uint64_t seed = 1;
   sim::SimTime duration = sim::msec(100);
   TopologySpec topology;
-  bool tcp_congestion = true;      ///< scenarios default to the full stack
   bool software_checksum = true;
-  std::int64_t mtu = static_cast<std::int64_t>(proto::Ip::kDefaultMtu);
   /// Conservative-parallel execution ([parallel] section). shards=1 (the
   /// default) runs the sequential engine and reproduces legacy reports
   /// byte-for-byte. shards>1 is incompatible with [tracing] and [routing]
@@ -123,10 +120,11 @@ struct ScenarioSpec {
   ProfileSpec profile;
   TracingSpec tracing;
 
-  /// Build a spec from a parsed config: one [scenario] and [topology]
-  /// section, any number of [workload] and [fault] sections (applied in
-  /// file order). Throws std::runtime_error / std::invalid_argument on
-  /// malformed input.
+  /// Build a spec from a parsed config: any number of [workload], [fault]
+  /// and [capture] sections (applied in file order), at most one of every
+  /// other section. Throws std::runtime_error / std::invalid_argument on
+  /// malformed input, an unknown or repeated section, or a number its
+  /// member cannot hold.
   static ScenarioSpec from_config(const Config& cfg);
 
   /// Every section and key from_config accepts, by section name

@@ -6,7 +6,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "proto/ip.hpp"
 #include "sim/random.hpp"
 
 namespace nectar::scenario {
@@ -51,17 +50,10 @@ sim::SimTime exp_draw(sim::Random& rng, double mean_ns) {
   return static_cast<sim::SimTime>(t);
 }
 
-/// The TCP trunk rendezvous: every node listens here, its upstream peer
-/// connects with local ports kTcpPort+1+k (one per trunk).
-constexpr std::uint16_t kTcpPort = 7000;
-
 }  // namespace
 
 void SessionsSpec::validate() const {
   auto bad = [](const std::string& why) { throw std::runtime_error("[sessions] " + why); };
-  if (trunk_proto != "rmp" && trunk_proto != "tcp") {
-    bad("trunk_proto must be rmp or tcp, got '" + trunk_proto + "'");
-  }
   if (trunks < 1) bad("trunks must be >= 1");
   if (channels < 1) bad("channels must be >= 1");
   if (stride < 1) bad("stride must be >= 1");
@@ -70,14 +62,9 @@ void SessionsSpec::validate() const {
   if (size + static_cast<std::int64_t>(session::FrameHeader::kSize) > max_batch) {
     bad("size + frame header must fit max_batch");
   }
-  if (classes < 1 || classes > session::SessionManager::kClasses) {
-    bad("classes must be in [1, " + std::to_string(session::SessionManager::kClasses) + "]");
-  }
-  if (weight_spread < 1 || weight_spread > 255) bad("weight_spread must be in [1, 255]");
   if (initial_credit < 1) bad("initial_credit must be >= 1");
   if (send_window < 1) bad("send_window must be >= 1");
   if (max_channels < 1) bad("max_channels must be >= 1");
-  if (rmp_queue_cap < 1) bad("rmp_queue_cap must be >= 1");
   if (aggregation < 0) bad("aggregation must be >= 0");
   if (rate < 0.0) bad("rate must be >= 0");
   if (churn_rate < 0.0) bad("churn_rate must be >= 0");
@@ -105,11 +92,9 @@ SessionDriver::SessionDriver(net::Network& net, std::vector<net::NodeStack*> sta
 
   session::SessionConfig cfg;
   cfg.initial_credit = static_cast<std::uint32_t>(spec_.initial_credit);
-  cfg.credit_refresh = static_cast<std::uint32_t>(spec_.credit_refresh);
   cfg.send_window = static_cast<std::uint32_t>(spec_.send_window);
   cfg.max_batch = static_cast<std::uint32_t>(spec_.max_batch);
   cfg.max_channels = static_cast<std::uint32_t>(spec_.max_channels);
-  cfg.rmp_queue_cap = static_cast<std::size_t>(spec_.rmp_queue_cap);
   cfg.aggregation = spec_.aggregation;
   cfg.fail_timeout = spec_.fail_timeout;
 
@@ -129,30 +114,11 @@ SessionDriver::SessionDriver(net::Network& net, std::vector<net::NodeStack*> sta
     nodes_.push_back(std::move(n));
   }
 
-  const bool tcp = spec_.trunk_proto == "tcp";
-  if (!tcp) build_rmp_trunks();
+  build_rmp_trunks();
   for (int i = 0; i < node_count_; ++i) install_callbacks(i);
 
   for (int i = 0; i < node_count_; ++i) {
-    if (tcp) {
-      // The peer's opener dials in; this node's accept thread attaches the
-      // inbound trunks in connect order (serial dials => deterministic).
-      net_.runtime(i).fork_system("sess-accept", [this, i] {
-        NodeState& n = ns(i);
-        proto::Tcp& t = stacks_[static_cast<std::size_t>(i)]->tcp;
-        proto::TcpListener* l = t.open_listener(kTcpPort);
-        int src = (i - static_cast<int>(spec_.stride) % node_count_ + node_count_) % node_count_;
-        for (std::int64_t k = 0; k < spec_.trunks; ++k) {
-          proto::TcpConnection* c = t.accept(l);
-          n.in_trunks.push_back(n.mgr->add_tcp_trunk(c, src));
-        }
-      });
-    }
-    net_.runtime(i).fork_app("sess-open", [this, i, tcp] {
-      if (tcp) build_node_tcp_trunks(i);
-      sleep_until_at_least(net_.runtime(i), spec_.start);
-      open_all(i);
-    });
+    net_.runtime(i).fork_app("sess-open", [this, i] { open_all(i); });
     if (spec_.rate > 0.0) {
       net_.runtime(i).fork_app("sess-gen", [this, i] { generator_loop(i); });
     }
@@ -173,18 +139,6 @@ void SessionDriver::build_rmp_trunks() {
       ns(i).out_trunks.push_back(ti);
       ns(dst).in_trunks.push_back(tj);
     }
-  }
-}
-
-void SessionDriver::build_node_tcp_trunks(int node) {
-  NodeState& n = ns(node);
-  int dst = dst_of(node);
-  proto::Tcp& t = stacks_[static_cast<std::size_t>(node)]->tcp;
-  for (std::int64_t k = 0; k < spec_.trunks; ++k) {
-    proto::TcpConnection* c =
-        t.connect(static_cast<std::uint16_t>(kTcpPort + 1 + k), proto::ip_of_node(dst), kTcpPort);
-    t.wait_established(c);
-    n.out_trunks.push_back(n.mgr->add_tcp_trunk(c, dst));
   }
 }
 
@@ -244,13 +198,10 @@ void SessionDriver::open_all(int node) {
 
 void SessionDriver::open_one(int node, std::uint32_t c) {
   NodeState& n = ns(node);
-  auto pri = static_cast<std::uint8_t>(c % static_cast<std::uint32_t>(spec_.classes));
-  auto weight =
-      static_cast<std::uint8_t>(1 + c % static_cast<std::uint32_t>(spec_.weight_spread));
   int trunk = n.out_trunks[c % static_cast<std::uint32_t>(spec_.trunks)];
   Channel& ch = n.chans[c];
   ch.open_sent = runtime(node).engine().now();
-  ch.handle = n.mgr->open_channel(trunk, pri, weight);
+  ch.handle = n.mgr->open_channel(trunk);
   ++n.opens_initiated;
   if (ch.handle == session::SessionManager::kNoHandle) return;
   if (ch.handle >= n.chan_of_handle.size()) n.chan_of_handle.resize(ch.handle + 1, 0);
@@ -261,7 +212,7 @@ void SessionDriver::open_one(int node, std::uint32_t c) {
 void SessionDriver::generator_loop(int node) {
   core::CabRuntime& rt = runtime(node);
   sim::Random rng(sim::derive_seed(master_seed_, "sess/gen/" + std::to_string(node)));
-  sleep_until_at_least(rt, spec_.start + spec_.warmup);
+  sleep_until_at_least(rt, spec_.warmup);
   const double mean_ns = 1.0e9 / spec_.rate;
   std::vector<std::uint8_t> payload(static_cast<std::size_t>(spec_.size), 0);
   NodeState& n = ns(node);
@@ -298,7 +249,7 @@ void SessionDriver::generator_loop(int node) {
 void SessionDriver::churn_loop(int node) {
   core::CabRuntime& rt = runtime(node);
   sim::Random rng(sim::derive_seed(master_seed_, "sess/churn/" + std::to_string(node)));
-  sleep_until_at_least(rt, std::max(spec_.churn_start, spec_.start + spec_.warmup));
+  sleep_until_at_least(rt, std::max(spec_.churn_start, spec_.warmup));
   const double mean_ns = 1.0e9 / spec_.churn_rate;
   const sim::SimTime end = spec_.churn_duration > 0
                                ? spec_.churn_start + spec_.churn_duration

@@ -21,7 +21,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "net/system.hpp"
@@ -35,20 +34,14 @@ struct SessionsSpec {
   bool enabled = false;
   std::int64_t trunks = 4;          ///< trunk connections per node pair
   std::int64_t channels = 1000;     ///< logical channels per node
-  std::string trunk_proto = "rmp";  ///< "rmp" | "tcp"
   std::int64_t stride = 1;          ///< node i's channels land on (i + stride) % N
   double rate = 1000.0;             ///< data messages/sec per node (round-robin)
   std::int64_t size = 64;           ///< payload bytes (>= 16 for the stamp)
-  sim::SimTime start = 0;           ///< when channel opens begin
-  sim::SimTime warmup = sim::msec(50);  ///< opens-to-data gap
-  std::int64_t classes = 1;         ///< priority classes; channel c -> class c % classes
-  std::int64_t weight_spread = 1;   ///< WDRR weight = 1 + c % weight_spread
+  sim::SimTime warmup = sim::msec(50);  ///< opens (at t=0) to data gap
   std::int64_t initial_credit = 32;
-  std::int64_t credit_refresh = 0;  ///< 0 = initial_credit / 2
   std::int64_t send_window = 32;
   std::int64_t max_batch = 4096;
   std::int64_t max_channels = 60000;  ///< inbound admission cap per trunk
-  std::int64_t rmp_queue_cap = 2;
   sim::SimTime aggregation = sim::usec(20);  ///< pumper batching window
   sim::SimTime fail_timeout = sim::msec(25);
   double churn_rate = 0.0;          ///< close+reopen ops/sec per node
@@ -128,7 +121,6 @@ class SessionDriver {
   bool stalled_channel(std::int64_t c) const;
 
   void build_rmp_trunks();
-  void build_node_tcp_trunks(int node);
   void install_callbacks(int node);
   void open_all(int node);
   void open_one(int node, std::uint32_t c);

@@ -1,5 +1,6 @@
 #include "scenario/workload.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <span>
 #include <stdexcept>
@@ -67,6 +68,7 @@ Workload::Workload(net::Network& net, std::vector<net::NodeStack*> stacks, Workl
     throw std::invalid_argument("workload '" + spec_.name +
                                 "': stride pairs every node with itself");
   }
+  if (spec_.proto == Proto::Tcp) tcp_lengths_ = std::vector<TcpLengths>(flow_defs_.size());
 }
 
 std::uint64_t Workload::flow_seed(std::size_t flow, const char* role, int user) const {
@@ -112,6 +114,11 @@ std::optional<core::Message> Workload::stage(int node, core::Mailbox& scratch, s
   pack32(hdr + 4, static_cast<std::uint32_t>(st.sent));
   pack64(hdr + 8, static_cast<std::uint64_t>(runtime(node).engine().now()));
   net_.cab(node).memory().write(m->data, std::span<const std::uint8_t>(hdr, kHeaderBytes));
+  if (spec_.proto == Proto::Tcp) {
+    TcpLengths& t = tcp_lengths_[flow];
+    std::lock_guard<std::mutex> g(t.mu);
+    t.by_seq.emplace(static_cast<std::uint32_t>(st.sent), m->len);
+  }
   ++st.sent;
   st.sent_bytes += m->len;
   return m;
@@ -121,23 +128,68 @@ void Workload::observe_delivery(int node, const core::Message& m) {
   if (m.len < kHeaderBytes) return;
   std::uint8_t hdr[kHeaderBytes];
   net_.cab(node).memory().read(m.data, std::span<std::uint8_t>(hdr, kHeaderBytes));
-  std::uint32_t src = unpack32(hdr);
+  credit(node, unpack32(hdr), static_cast<sim::SimTime>(unpack64(hdr + 8)), m.len, m.data);
+}
+
+void Workload::consume_tcp(int node, TcpStream& rx, const core::Message& chunk) {
+  hw::CabAddr at = chunk.data;
+  std::uint32_t n = chunk.len;
+  while (n > 0) {
+    std::uint32_t take;
+    if (rx.have < kHeaderBytes) {
+      take = std::min(n, kHeaderBytes - rx.have);
+      net_.cab(node).memory().read(at, std::span<std::uint8_t>(rx.hdr + rx.have, take));
+      rx.have += take;
+      if (rx.have == kHeaderBytes) {
+        rx.len = take_tcp_length(unpack32(rx.hdr), unpack32(rx.hdr + 4));
+        rx.left = rx.len - kHeaderBytes;
+      }
+    } else {
+      take = std::min(n, rx.left);
+      rx.left -= take;
+    }
+    at += take;
+    n -= take;
+    if (rx.have == kHeaderBytes && rx.left == 0) {
+      credit(node, unpack32(rx.hdr), static_cast<sim::SimTime>(unpack64(rx.hdr + 8)), rx.len,
+             chunk.data);
+      rx.have = 0;
+    }
+  }
+}
+
+std::uint32_t Workload::take_tcp_length(std::uint32_t src, std::uint32_t seq) {
+  if (src < flow_of_src_.size() && flow_of_src_[src] >= 0) {
+    TcpLengths& t = tcp_lengths_[static_cast<std::size_t>(flow_of_src_[src])];
+    std::lock_guard<std::mutex> g(t.mu);
+    auto it = t.by_seq.find(seq);
+    if (it != t.by_seq.end()) {
+      std::uint32_t len = it->second;
+      t.by_seq.erase(it);
+      return len;
+    }
+  }
+  throw std::logic_error("workload '" + spec_.name + "': TCP message " + std::to_string(src) +
+                         "/" + std::to_string(seq) + " was never staged");
+}
+
+void Workload::credit(int node, std::uint32_t src, sim::SimTime sent_ns, std::uint32_t bytes,
+                      hw::CabAddr data) {
   if (src >= flow_of_src_.size()) return;
   int fi = flow_of_src_[src];
   if (fi < 0) return;
-  auto sent_ns = static_cast<sim::SimTime>(unpack64(hdr + 8));
   sim::SimTime now = runtime(node).engine().now();
   // A timestamp of 0 or from the future means this is not one of our
-  // headers (e.g. a continuation segment of an oversized TCP message).
+  // headers (a foreign payload).
   if (sent_ns <= 0 || sent_ns > now) return;
   FlowStats& st = flows_[static_cast<std::size_t>(fi)];
   st.latency.observe(now - sent_ns);
   ++st.delivered;
-  st.delivered_bytes += m.len;
+  st.delivered_bytes += bytes;
   if (auto* ct = obs::CausalTracer::active()) {
     // The receive buffer was tagged at datalink rx; header stripping only
     // moved the data pointer forward, so containment lookup still hits.
-    obs::TraceContext ctx = ct->lookup(node, m.data);
+    obs::TraceContext ctx = ct->lookup(node, data);
     if (ctx.valid()) ct->finish(ctx);
   }
 }
@@ -180,13 +232,14 @@ void Workload::tcp_server(int node) {
     for (;;) {
       proto::TcpConnection* c = stack(node).tcp.accept(l);
       runtime(node).fork_system("wl/" + spec_.name + "/srv", [this, node, c] {
+        TcpStream rx;
         for (;;) {
           core::Message m = c->receive_mailbox().begin_get();
           if (m.len == 0) {  // peer closed
             c->receive_mailbox().end_get(m);
             return;
           }
-          observe_delivery(node, m);
+          consume_tcp(node, rx, m);
           c->receive_mailbox().end_get(m);
         }
       });
@@ -247,7 +300,6 @@ void Workload::closed_user_loop(std::size_t flow, int user) {
   sim::Random rng(flow_seed(flow, "closed", user));
   core::Mailbox& scratch =
       rt.create_mailbox("wl/" + spec_.name + "/u" + std::to_string(user));
-  if (rt.engine().now() < spec_.start) rt.cpu().sleep_until(spec_.start);
   // Fire-and-forget protocols have no completion to wait on; a floor on the
   // think time keeps the loop from spinning at one simulation instant.
   sim::SimTime think = spec_.think;
@@ -378,7 +430,6 @@ void Workload::open_flow_loop(std::size_t flow) {
   core::CabRuntime& rt = runtime(f.src);
   sim::Random rng(flow_seed(flow, "open", 0));
   core::Mailbox& scratch = rt.create_mailbox("wl/" + spec_.name + "/gen");
-  if (rt.engine().now() < spec_.start) rt.cpu().sleep_until(spec_.start);
   if (spec_.proto == Proto::Tcp) {
     f.conn = stack(f.src).tcp.connect(static_cast<std::uint16_t>(spec_.port + 1),
                                       proto::ip_of_node(f.dst), spec_.port);
@@ -408,7 +459,6 @@ void Workload::install_clients() {
       runtime(f.src).fork_app("wl/" + spec_.name + "/drv", [this, i] {
         Flow& fl = flow_defs_[i];
         core::CabRuntime& rt = runtime(fl.src);
-        if (rt.engine().now() < spec_.start) rt.cpu().sleep_until(spec_.start);
         fl.conn = stack(fl.src).tcp.connect(static_cast<std::uint16_t>(spec_.port + 1),
                                             proto::ip_of_node(fl.dst), spec_.port);
         if (!stack(fl.src).tcp.wait_established(fl.conn)) {

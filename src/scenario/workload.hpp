@@ -17,12 +17,17 @@
 // 16-byte header [u32 src-node][u32 seq][u64 send-time-ns]; the receiver
 // computes one-way delay from the global simulation clock into the
 // workload's log-bucketed latency histogram (request-response measures
-// client-side round-trip instead). All randomness (sizes, interarrivals,
-// think times) derives from the scenario master seed and the flow/user
-// name, so a run is exactly reproducible.
+// client-side round-trip instead). TCP is a byte stream that the receiver
+// reads one segment at a time, so the server splits the stream by message
+// length, looked up by the (src, seq) of each header, and counts each
+// message once, when its last byte arrives. All randomness (sizes,
+// interarrivals, think times) derives from the scenario master seed and the
+// flow/user name, so a run is exactly reproducible.
 
 #include <cstdint>
+#include <mutex>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "net/system.hpp"
@@ -53,7 +58,6 @@ struct WorkloadSpec {
   std::uint32_t size_min = 64;    ///< payload bytes, uniform in [min, max]
   std::uint32_t size_max = 64;
   int stride = 1;                 ///< node i sends to (i + stride) % N
-  sim::SimTime start = 0;         ///< when the generators begin
   std::uint16_t port = 0;         ///< UDP/TCP port (0: engine auto-assigns)
 };
 
@@ -130,6 +134,27 @@ class Workload {
     bool rpc_outstanding = false;           // open-loop reqresp guard
   };
 
+  /// A TCP server connection's place in its byte stream: of the message in
+  /// progress, the header bytes read so far, its length, and the bytes
+  /// still to come.
+  struct TcpStream {
+    std::uint8_t hdr[kHeaderBytes];
+    std::uint32_t have = 0;
+    std::uint32_t len = 0;
+    std::uint32_t left = 0;
+  };
+
+  /// One TCP flow's staged messages the server has not reached yet: length
+  /// by seq. The length cannot ride in the payload (a TCP checksum of 0
+  /// skips verification, so payload bytes change timing), and users sharing
+  /// the connection interleave, so the server looks each message up by the
+  /// seq in its header. Client and server may run on different shard
+  /// threads.
+  struct TcpLengths {
+    std::mutex mu;
+    std::unordered_map<std::uint32_t, std::uint32_t> by_seq;
+  };
+
   net::NodeStack& stack(int node) { return *stacks_[static_cast<std::size_t>(node)]; }
   core::CabRuntime& runtime(int node) { return net_.runtime(node); }
 
@@ -149,6 +174,16 @@ class Workload {
   /// observe latency, credit the sending flow. Safe on short/foreign
   /// payloads (ignored).
   void observe_delivery(int node, const core::Message& m);
+  /// TCP receiver side: advance `rx` over one received chunk, crediting
+  /// every message whose last byte it holds.
+  void consume_tcp(int node, TcpStream& rx, const core::Message& chunk);
+  /// Remove and return the length of TCP message (src, seq); throws
+  /// std::logic_error when no flow staged it (the stream lost its framing).
+  std::uint32_t take_tcp_length(std::uint32_t src, std::uint32_t seq);
+  /// Credit one delivered message of `bytes` from node `src`, sent at
+  /// `sent_ns`; `data` is an address in the received buffer (trace lookup).
+  void credit(int node, std::uint32_t src, sim::SimTime sent_ns, std::uint32_t bytes,
+              hw::CabAddr data);
 
   void install_servers();
   void install_clients();
@@ -167,6 +202,7 @@ class Workload {
   std::vector<Flow> flow_defs_;
   std::vector<FlowStats> flows_;
   std::vector<int> flow_of_src_;  // node -> flow index, -1 if none
+  std::vector<TcpLengths> tcp_lengths_;  // per flow, TCP workloads only
 };
 
 }  // namespace nectar::scenario

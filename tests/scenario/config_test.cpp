@@ -133,17 +133,58 @@ TEST(ConfigTest, KeyBeforeFirstSectionThrowsNamingIt) {
   }
 }
 
+// Only [workload], [fault] and [capture] repeat; a second copy of any
+// other section would otherwise be ignored after the first.
+TEST(ConfigTest, RepeatedSingleSectionThrowsNamingIt) {
+  try {
+    ScenarioSpec::from_config(Config::parse_string(
+        "[scenario]\nname = first\nseed = 1\n[scenario]\nname = second\nseed = 7\n"));
+    FAIL() << "a second [scenario] was accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("[scenario]"), std::string::npos) << e.what();
+  }
+  EXPECT_THROW(ScenarioSpec::from_config(Config::parse_string(
+                   "[telemetry]\nenabled = true\n[workload]\nproto = rmp\n[telemetry]\n"
+                   "interval = 5ms\n")),
+               std::runtime_error);
+}
+
+// A number the member cannot hold throws, naming its section and key,
+// instead of wrapping, overflowing or reaching the simulator as nan.
+TEST(ConfigTest, NumbersThatDoNotFitThrowNamingTheKey) {
+  auto rejects = [](const std::string& ini, const std::string& section, const std::string& key) {
+    try {
+      ScenarioSpec::from_config(Config::parse_string(ini));
+      ADD_FAILURE() << "accepted: " << ini;
+    } catch (const std::runtime_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("[" + section + "]"), std::string::npos) << what;
+      EXPECT_NE(what.find("'" + key + "'"), std::string::npos) << what;
+    }
+  };
+  rejects("[workload]\nproto = rmp\nmode = open\nrate = nan\n", "workload", "rate");
+  rejects("[workload]\nproto = rmp\nrate = inf\n", "workload", "rate");
+  rejects("[scenario]\nduration = -5ms\n", "scenario", "duration");
+  rejects("[scenario]\nduration = 1e30s\n", "scenario", "duration");
+  rejects("[scenario]\nduration = nan\n", "scenario", "duration");
+  rejects("[scenario]\nseed = 99999999999999999999\n", "scenario", "seed");
+  rejects("[scenario]\nseed = -1\n", "scenario", "seed");
+  rejects("[topology]\nnodes = 4294967300\n", "topology", "nodes");
+  rejects("[workload]\nproto = rmp\nusers = 2147483648\n", "workload", "users");
+  rejects("[workload]\nproto = rmp\nsize = 4294967360\n", "workload", "size");
+}
+
 // Disabled sections still validate their values — a typo'd *value* must not
 // hide behind enabled=false.
 TEST(ConfigTest, DisabledSectionsStillValidateValues) {
   EXPECT_THROW(
       ScenarioSpec::from_config(Config::parse_string("[collectives]\nop = gather\n")),
       std::invalid_argument);
-  EXPECT_THROW(
-      ScenarioSpec::from_config(Config::parse_string("[sessions]\ntrunk_proto = udp\n")),
-      std::runtime_error);
-  EXPECT_THROW(ScenarioSpec::from_config(Config::parse_string("[sessions]\nclasses = 9\n")),
+  EXPECT_THROW(ScenarioSpec::from_config(Config::parse_string("[sessions]\ntrunks = 0\n")),
                std::runtime_error);
+  EXPECT_THROW(
+      ScenarioSpec::from_config(Config::parse_string("[sessions]\nmax_channels = 0\n")),
+      std::runtime_error);
   EXPECT_THROW(ScenarioSpec::from_config(Config::parse_string("[sessions]\nsize = 4\n")),
                std::runtime_error);
 }
@@ -185,7 +226,7 @@ TEST(ConfigTest, WorkloadSizeSetsBothBounds) {
 
 // The reference INI block in docs/SCENARIOS.md (the first ```ini fence)
 // names every key from_config accepts, under that key's own section header.
-// Commented-out keys ("# mtu = 1500") count as documented.
+// Commented-out keys ("# seed = 1") count as documented.
 TEST(ConfigTest, ReferenceBlockDocumentsEveryKey) {
   std::ifstream in(std::string(NECTAR_SOURCE_DIR) + "/docs/SCENARIOS.md");
   ASSERT_TRUE(in) << "cannot read docs/SCENARIOS.md";
