@@ -2,7 +2,7 @@
 # to match a committed report byte for byte. Invoked by ctest (see
 # CMakeLists.txt here):
 #
-#   cmake -DCOMMAND=<binary> [-DARGS=<arg>] -DOUT=<fresh.json>
+#   cmake -DCOMMAND=<binary> [-DARGS=<arg;arg...>] -DOUT=<fresh.json>
 #         -DCOMMITTED=<BENCH_*.json> -P check_golden.cmake
 execute_process(COMMAND ${COMMAND} ${ARGS} --json ${OUT} RESULT_VARIABLE rc OUTPUT_QUIET)
 if(NOT rc EQUAL 0)

@@ -10,7 +10,7 @@
 //
 // --seed, --duration and --shards override the [scenario]/[parallel]
 // sections, so one config file serves as a family of experiments (--shards
-// is how the CI determinism gates run one config at several shard counts).
+// runs one config at several shard counts).
 // --trace and --profile match the bench binaries' flags: --trace writes a
 // Chrome trace-event timeline of the run (single-shard only), --profile
 // enables the cycle-attribution profiler and writes folded stacks

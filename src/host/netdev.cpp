@@ -2,8 +2,6 @@
 
 #include <stdexcept>
 
-#include "obs/pcap.hpp"
-
 namespace nectar::host {
 
 namespace costs = sim::costs;
@@ -23,8 +21,6 @@ void NetDevice::send_packet(int dst_node, std::span<const std::uint8_t> payload)
   // offload.
   cpu.charge(costs::kHostStackPerPacket);
   cpu.charge(static_cast<sim::SimTime>(payload.size()) * costs::kHostCopyPerByte);
-
-  if (pcap_ != nullptr) pcap_->packet(dl_.runtime().engine().now(), payload);
 
   // "to send a packet the driver writes the packet into a free buffer in the
   // output pool and notifies the server."
@@ -60,10 +56,6 @@ void NetDevice::end_of_data(core::Message m, std::uint8_t src_node) {
   // receives the packet into the buffer, and informs the driver" — the
   // buffer is already in the input pool; publishing notifies the host.
   ++rx_;
-  if (pcap_ != nullptr) {
-    core::CabRuntime& rt = dl_.runtime();
-    pcap_->packet(rt.engine().now(), rt.board().memory().view(m.data, m.len));
-  }
   in_pool_.mb->end_put(m);
 }
 

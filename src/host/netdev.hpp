@@ -9,10 +9,6 @@
 #include "nectarine/nectarine.hpp"
 #include "proto/datalink.hpp"
 
-namespace nectar::obs {
-class PcapWriter;
-}
-
 namespace nectar::host {
 
 /// Usage level 1 (paper §5.1): the CAB as a conventional network device.
@@ -50,11 +46,6 @@ class NetDevice : public proto::DatalinkClient {
   std::uint64_t packets_sent() const { return tx_; }
   std::uint64_t packets_received() const { return rx_; }
 
-  /// Tap every packet crossing the VME boundary (host tx at driver entry,
-  /// host rx as the CAB publishes into the input pool) into `pcap` as raw
-  /// packet records. nullptr detaches.
-  void attach_pcap(obs::PcapWriter* pcap) { pcap_ = pcap; }
-
  private:
   void server_loop();  // CAB server thread: drains the output pool
 
@@ -64,7 +55,6 @@ class NetDevice : public proto::DatalinkClient {
   nectarine::HostNectarine::HostMailbox in_pool_;
   std::uint64_t tx_ = 0;
   std::uint64_t rx_ = 0;
-  obs::PcapWriter* pcap_ = nullptr;
 };
 
 }  // namespace nectar::host

@@ -11,11 +11,6 @@ class CollectiveEngine;
 enum class ReduceOp : std::uint8_t;
 }
 
-namespace nectar::session {
-class SessionManager;
-enum class SendResult : std::uint8_t;
-}
-
 namespace nectar::nectarine {
 
 /// CAB-side Nectarine (paper §3.5): "Nectarine simplifies the task of
@@ -77,23 +72,6 @@ class CabNectarine {
   bool coll_reduce(std::uint16_t group, coll::ReduceOp op, std::uint64_t contribution,
                    std::uint64_t* result);
 
-  // --- virtual-channel sessions (src/session) ------------------------------
-
-  /// Attach this node's SessionManager. The session_* calls forward to it —
-  /// a logical channel instead of a whole protocol connection per client —
-  /// and are defined alongside the manager in src/session (nectarine_glue),
-  /// so Nectarine itself carries no dependency on the session layer.
-  void attach_sessions(session::SessionManager* mgr) { sessions_ = mgr; }
-  session::SessionManager* sessions() { return sessions_; }
-
-  /// Open a logical channel on `trunk`; returns the manager's channel
-  /// handle, or SessionManager::kNoHandle on refusal.
-  std::uint32_t session_open(int trunk, std::uint8_t priority = 0, std::uint8_t weight = 1);
-  /// Stage one message on the channel (Backpressure = shed, nothing taken).
-  session::SendResult session_send(std::uint32_t channel, std::span<const std::uint8_t> payload);
-  /// Orderly close; the wire id recycles once the peer confirms.
-  void session_close(std::uint32_t channel);
-
  private:
   core::CabRuntime& rt_;
   nproto::DatagramProtocol& datagram_;
@@ -101,7 +79,6 @@ class CabNectarine {
   nproto::ReqResp& reqresp_;
   core::Mailbox& scratch_;
   coll::CollectiveEngine* coll_ = nullptr;
-  session::SessionManager* sessions_ = nullptr;
 };
 
 }  // namespace nectar::nectarine

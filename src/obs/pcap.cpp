@@ -65,11 +65,6 @@ void PcapWriter::frame(sim::SimTime ts, std::span<const std::uint8_t> bytes) {
   record(ts, bytes.subspan(kDatalinkHeaderSize, len));
 }
 
-void PcapWriter::packet(sim::SimTime ts, std::span<const std::uint8_t> bytes) {
-  if (!ok_) return;
-  record(ts, bytes);
-}
-
 void PcapWriter::record(sim::SimTime ts, std::span<const std::uint8_t> bytes) {
   std::uint32_t sec = static_cast<std::uint32_t>(ts / sim::kSecond);
   std::uint32_t nsec = static_cast<std::uint32_t>(ts % sim::kSecond);

@@ -2,10 +2,10 @@
 
 // Packet capture on the simulated clock, in real pcap format.
 //
-// A PcapWriter is a tap attached to a hardware element (a hw::FiberLink
-// transmitter, the VME network-device boundary): every packet that crosses
-// the element is appended to a classic libpcap file with its simulated-time
-// timestamp, openable by Wireshark / tcpdump / tshark. Two formats:
+// A PcapWriter is a tap attached to a hw::FiberLink transmitter: every
+// packet that crosses the link is appended to a classic libpcap file with
+// its simulated-time timestamp, openable by Wireshark / tcpdump / tshark.
+// Two formats:
 //
 //   RawIp          LINKTYPE_RAW (101): records are bare IPv4 packets. The
 //                  4-byte Nectar datalink header is stripped and non-IP
@@ -56,10 +56,6 @@ class PcapWriter {
   /// crossed the tapped element at simulated time `ts`. RawIp strips the
   /// header and skips non-IP frames; DatalinkFrame records verbatim.
   void frame(sim::SimTime ts, std::span<const std::uint8_t> bytes);
-
-  /// Record an already-bare packet (no datalink header) — the VME
-  /// network-device boundary hands over raw IP packets.
-  void packet(sim::SimTime ts, std::span<const std::uint8_t> bytes);
 
   std::uint64_t packets_written() const { return written_; }
   /// RawIp only: non-IP frames seen and skipped.

@@ -189,16 +189,6 @@ json::Value Profiler::summary() const {
   return doc;
 }
 
-void Profiler::clear() {
-  std::lock_guard<std::mutex> lk(mutex_);
-  samples_ = 0;
-  folded_.clear();
-  cpus_.clear();
-  queue_depth_.clear();
-  queue_wait_.clear();
-  occupancy_.clear();
-}
-
 CostScope::CostScope(const char* domain) {
   if (g_enabled == 0) return;
   key_ = g_context;

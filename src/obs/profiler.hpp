@@ -111,9 +111,6 @@ class Profiler {
   /// wait, queue-depth gauges, resource occupancy. Deterministic.
   json::Value summary() const;
 
-  /// Drop all recorded data (keeps the enabled state and autoflush path).
-  void clear();
-
  private:
   struct QueueGauge {
     std::uint64_t samples = 0;

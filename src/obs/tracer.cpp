@@ -13,10 +13,6 @@
 
 namespace nectar::obs {
 
-Tracer::~Tracer() {
-  if (!autoflush_.empty()) write_chrome(autoflush_);
-}
-
 int Tracer::track(const std::string& process, const std::string& thread) {
   auto it = track_ids_.find({process, thread});
   if (it != track_ids_.end()) return it->second;

@@ -44,19 +44,11 @@ class Tracer {
   };
 
   explicit Tracer(sim::Engine& engine) : engine_(engine) {}
-  /// Writes the Chrome trace to the autoflush path, if one is set (RAII:
-  /// the artifact survives a run torn down mid-transfer).
-  ~Tracer();
   Tracer(const Tracer&) = delete;
   Tracer& operator=(const Tracer&) = delete;
 
   bool enabled() const { return enabled_; }
   void set_enabled(bool on) { enabled_ = on; }
-
-  /// Export to `path` when this tracer is destroyed. An earlier explicit
-  /// write_chrome to the same path just gets rewritten with identical bytes.
-  void set_autoflush(std::string path) { autoflush_ = std::move(path); }
-  const std::string& autoflush_path() const { return autoflush_; }
 
   /// Register (or look up) the track for (process, thread). Ids are assigned
   /// in registration order, so identical runs get identical pid/tid layouts.
@@ -110,7 +102,6 @@ class Tracer {
 
   sim::Engine& engine_;
   bool enabled_ = false;
-  std::string autoflush_;
   std::vector<Track> tracks_;
   std::map<std::pair<std::string, std::string>, int> track_ids_;
   std::map<std::string, int> pids_;

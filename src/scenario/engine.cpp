@@ -110,7 +110,6 @@ const Table<TopologySpec> kTopologyKeys{"topology", {
     {"kind", &TopologySpec::kind, kTopologyKinds},
     {"nodes", &TopologySpec::nodes},
     {"hub_ports", &TopologySpec::hub_ports},
-    {"trunks", &TopologySpec::trunks},
     {"spines", &TopologySpec::spines},
     {"with_vme", &TopologySpec::with_vme},
     {"trunk_propagation", Time{&TopologySpec::trunk_propagation}},

@@ -108,8 +108,7 @@ SessionDriver::SessionDriver(net::Network& net, std::vector<net::NodeStack*> sta
   for (int i = 0; i < node_count_; ++i) {
     auto n = std::make_unique<NodeState>();
     n->mgr = std::make_unique<session::SessionManager>(
-        net_.runtime(i), i, &stacks_[static_cast<std::size_t>(i)]->rmp,
-        &stacks_[static_cast<std::size_t>(i)]->tcp, cfg);
+        net_.runtime(i), i, stacks_[static_cast<std::size_t>(i)]->rmp, cfg);
     n->chans.assign(static_cast<std::size_t>(spec_.channels), Channel{});
     nodes_.push_back(std::move(n));
   }

@@ -23,28 +23,6 @@ void build_star(net::Network& net, const TopologySpec& s) {
   for (int i = 0; i < s.nodes; ++i) net.add_cab(h, i, s.with_vme);
 }
 
-void build_dual_hub(net::Network& net, const TopologySpec& s) {
-  if (s.trunks < 1) throw std::invalid_argument("topology: dual_hub needs trunks >= 1");
-  int cab_ports = s.hub_ports - s.trunks;
-  if (s.nodes > 2 * cab_ports) {
-    throw std::invalid_argument("topology: dual_hub fits at most " +
-                                std::to_string(2 * cab_ports) + " nodes");
-  }
-  int h0 = net.add_hub(s.hub_ports);
-  int h1 = net.add_hub(s.hub_ports);
-  // Trunks occupy the top ports, mirrored on both HUBs (routing uses the
-  // first trunk found by the BFS; extra trunks serve circuit switching).
-  for (int t = 0; t < s.trunks; ++t) {
-    int p = s.hub_ports - 1 - t;
-    net.link_hubs(h0, p, h1, p, s.trunk_propagation);
-  }
-  int first_half = (s.nodes + 1) / 2;
-  for (int i = 0; i < s.nodes; ++i) {
-    bool low = i < first_half;
-    net.add_cab(low ? h0 : h1, low ? i : i - first_half, s.with_vme);
-  }
-}
-
 void build_fat_tree(net::Network& net, const TopologySpec& s, const ParallelSpec& par) {
   if (s.spines < 1) throw std::invalid_argument("topology: fat_tree needs spines >= 1");
   int cabs_per_leaf = s.hub_ports - s.spines;
@@ -92,9 +70,6 @@ int build_topology(net::Network& net, const TopologySpec& spec, std::uint64_t ma
   switch (spec.kind) {
     case TopologyKind::Star:
       build_star(net, spec);
-      break;
-    case TopologyKind::DualHub:
-      build_dual_hub(net, spec);
       break;
     case TopologyKind::FatTree:
       build_fat_tree(net, spec, par);

@@ -2,7 +2,7 @@
 
 // Topology builders: stamp out multi-HUB meshes of CAB+host nodes on a
 // net::Network from a small spec, instead of hand-wiring add_hub/add_cab
-// calls. All three shapes compute and install source routes and re-key every
+// calls. Both shapes compute and install source routes and re-key every
 // link's fault-RNG streams under the scenario master seed, so a scenario is
 // fully described by (spec, seed).
 
@@ -16,13 +16,11 @@ namespace nectar::scenario {
 
 enum class TopologyKind {
   Star,     ///< N CABs on one HUB (N <= HUB ports; the common installation)
-  DualHub,  ///< two HUBs, nodes split evenly, `trunks` parallel trunk pairs
   FatTree,  ///< 2-level: leaf HUBs with CABs, each leaf trunked to every spine
 };
 
 inline constexpr Named<TopologyKind> kTopologyKinds[] = {
     {TopologyKind::Star, "star"},
-    {TopologyKind::DualHub, "dual_hub"},
     {TopologyKind::FatTree, "fat_tree"},
 };
 
@@ -30,7 +28,6 @@ struct TopologySpec {
   TopologyKind kind = TopologyKind::Star;
   int nodes = 2;
   int hub_ports = 16;  ///< leaf/star HUB radix
-  int trunks = 1;      ///< DualHub: parallel trunk fiber pairs between the HUBs
   int spines = 2;      ///< FatTree: number of spine HUBs (= trunks per leaf)
   bool with_vme = false;
   /// Flight time of inter-HUB trunk fibers. Under a sharded run the minimum
@@ -53,7 +50,7 @@ struct ParallelSpec {
   int shards = 1;  ///< worker threads / event queues; 1 = sequential engine
   /// "modulo": hub id % shards (interleaves leaves and spines).
   /// "block": contiguous leaf ranges per shard (keeps neighbor leaves
-  /// together; spines spread round-robin). Identical for star/dual_hub.
+  /// together; spines spread round-robin). Identical for star.
   std::string partition = "modulo";
 
   static void validate_partition(const std::string& name);  // throws on typo

@@ -10,25 +10,11 @@ namespace nectar::session {
 
 namespace costs = sim::costs;
 
-const char* channel_state_name(ChannelState s) {
-  switch (s) {
-    case ChannelState::Opening: return "opening";
-    case ChannelState::Open: return "open";
-    case ChannelState::Draining: return "draining";
-    case ChannelState::CloseSent: return "close_sent";
-    case ChannelState::Closed: return "closed";
-    case ChannelState::Failed: return "failed";
-    case ChannelState::Refused: return "refused";
-  }
-  return "?";
-}
-
-SessionManager::SessionManager(core::CabRuntime& rt, int node, nproto::Rmp* rmp, proto::Tcp* tcp,
+SessionManager::SessionManager(core::CabRuntime& rt, int node, nproto::Rmp& rmp,
                                SessionConfig cfg)
     : rt_(rt),
       node_(node),
       rmp_(rmp),
-      tcp_(tcp),
       cfg_(cfg),
       scratch_(rt.create_mailbox("session-scratch")),
       metrics_reg_(rt.metrics()) {
@@ -52,7 +38,6 @@ int SessionManager::add_rmp_trunk(int peer_node) {
   int idx = static_cast<int>(trunks_.size());
   trunks_.push_back(std::make_unique<Trunk>());
   Trunk& t = *trunks_.back();
-  t.proto = TrunkProto::Rmp;
   t.peer = peer_node;
   t.rx = &rt_.create_mailbox("session-trunk" + std::to_string(idx));
   std::string pfx = "trunk" + std::to_string(idx) + ".";
@@ -76,7 +61,6 @@ core::MailboxAddr SessionManager::trunk_local_address(int trunk) const {
 void SessionManager::connect_rmp_trunk(int trunk, core::MailboxAddr peer_rx) {
   Trunk& t = trunk_at(trunk);
   t.peer_addr = peer_rx;
-  t.connected = true;
   start_trunk_threads(trunk);
 }
 
@@ -88,18 +72,6 @@ std::pair<int, int> SessionManager::connect_rmp_pair(SessionManager& a, SessionM
   return {ta, tb};
 }
 
-int SessionManager::add_tcp_trunk(proto::TcpConnection* conn, int peer_node) {
-  int idx = static_cast<int>(trunks_.size());
-  trunks_.push_back(std::make_unique<Trunk>());
-  Trunk& t = *trunks_.back();
-  t.proto = TrunkProto::Tcp;
-  t.peer = peer_node;
-  t.conn = conn;
-  t.connected = true;
-  start_trunk_threads(idx);
-  return idx;
-}
-
 int SessionManager::trunk_peer(int trunk) const { return trunk_at(trunk).peer; }
 bool SessionManager::trunk_failed(int trunk) const { return trunk_at(trunk).failed; }
 std::uint32_t SessionManager::outbound_live(int trunk) const { return trunk_at(trunk).outbound_live; }
@@ -107,9 +79,6 @@ std::uint32_t SessionManager::inbound_live(int trunk) const { return trunk_at(tr
 std::uint64_t SessionManager::trunk_tx_msgs(int trunk) const { return trunk_at(trunk).tx_msgs; }
 std::uint64_t SessionManager::trunk_tx_frames(int trunk) const { return trunk_at(trunk).tx_frames; }
 std::uint64_t SessionManager::trunk_tx_fast(int trunk) const { return trunk_at(trunk).tx_fast; }
-std::uint64_t SessionManager::trunk_credit_stalls(int trunk) const {
-  return trunk_at(trunk).credit_stalls;
-}
 
 void SessionManager::start_trunk_threads(int trunk) {
   rt_.fork_system("session-tx" + std::to_string(trunk), [this, trunk] { pump_loop(trunk); });
@@ -212,10 +181,6 @@ void SessionManager::close_channel(ChannelHandle h) {
 ChannelState SessionManager::state(ChannelHandle h) const { return chan(h).st; }
 std::uint32_t SessionManager::credit(ChannelHandle h) const { return chan(h).credit; }
 std::uint16_t SessionManager::wire_id(ChannelHandle h) const { return chan(h).id; }
-std::size_t SessionManager::staged(ChannelHandle h) const {
-  const SendChannel& c = chan(h);
-  return c.pending.size() - c.pend_head;
-}
 
 void SessionManager::freeze_inbound_credit(int trunk, std::uint16_t channel, bool frozen) {
   core::InterruptGuard g(rt_.cpu());
@@ -286,11 +251,7 @@ void SessionManager::pump_loop(int trunk) {
     if (t.failed) return;
     // Pace against the trunk transport before composing the next batch, so
     // frames keep accumulating (and batches keep growing) while it is busy.
-    if (t.proto == TrunkProto::Rmp) {
-      rmp_->wait_queue_below(t.peer, cfg_.rmp_queue_cap);
-    } else {
-      tcp_->wait_send_window(t.conn, cfg_.tcp_window_cap);
-    }
+    rmp_.wait_queue_below(t.peer, cfg_.rmp_queue_cap);
     if (t.failed) return;
     emit_batch(trunk);
   }
@@ -399,15 +360,14 @@ void SessionManager::emit_batch(int trunk) {
 
   // Single-DATA-frame fast path: the header rides the Rmp prefix — composed
   // through the HeaderBuf headroom on every (re)transmission, no batch copy.
-  if (plan.size() == 1 && plan[0].h.type == FrameType::Data && t.proto == TrunkProto::Rmp) {
+  if (plan.size() == 1 && plan[0].h.type == FrameType::Data) {
     std::array<std::uint8_t, FrameHeader::kSize> hdr{};
     plan[0].h.serialize(hdr);
     core::Message m = scratch_.begin_put(static_cast<std::uint32_t>(plan[0].payload.size()));
     if (!plan[0].payload.empty()) rt_.board().memory().write(m.data, plan[0].payload);
-    rmp_->send(t.peer_addr, m, /*free_when_acked=*/true, on_acked, {}, hdr);
+    rmp_.send(t.peer_addr, m, /*free_when_acked=*/true, on_acked, {}, hdr);
     ++t.tx_fast;
     ++t.tx_msgs;
-    t.tx_bytes += plan[0].payload.size() + FrameHeader::kSize;
     arm_watchdog(trunk);
     return;
   }
@@ -423,13 +383,8 @@ void SessionManager::emit_batch(int trunk) {
   }
   core::Message m = scratch_.begin_put(static_cast<std::uint32_t>(buf.size()));
   rt_.board().memory().write(m.data, buf);
-  if (t.proto == TrunkProto::Rmp) {
-    rmp_->send(t.peer_addr, m, /*free_when_acked=*/true, on_acked);
-  } else {
-    tcp_->send(t.conn, m, /*free_when_acked=*/true);
-  }
+  rmp_.send(t.peer_addr, m, /*free_when_acked=*/true, on_acked);
   ++t.tx_msgs;
-  t.tx_bytes += buf.size();
   arm_watchdog(trunk);
 }
 
@@ -437,36 +392,10 @@ void SessionManager::emit_batch(int trunk) {
 
 void SessionManager::reader_loop(int trunk) {
   Trunk& t = trunk_at(trunk);
-  if (t.proto == TrunkProto::Rmp) {
-    for (;;) {
-      core::Message m = t.rx->begin_get();
-      handle_frames(trunk, rt_.board().memory().view(m.data, m.len));
-      t.rx->end_get(m);
-    }
-  }
-  core::Mailbox& rx = t.conn->receive_mailbox();
   for (;;) {
-    core::Message m = rx.begin_get();
-    if (m.len == 0) {  // FIN: peer closed the trunk stream
-      rx.end_get(m);
-      fail_trunk(trunk, "trunk" + std::to_string(trunk) + " to node" + std::to_string(t.peer) +
-                            ": tcp stream closed by peer");
-      return;
-    }
-    std::span<const std::uint8_t> view = rt_.board().memory().view(m.data, m.len);
-    t.tcp_stage.insert(t.tcp_stage.end(), view.begin(), view.end());
-    rx.end_get(m);
-    // Reframe: a session frame may span TCP segment boundaries.
-    std::size_t off = 0;
-    while (t.tcp_stage.size() - off >= FrameHeader::kSize) {
-      std::span<const std::uint8_t> stage(t.tcp_stage);
-      FrameHeader h = FrameHeader::parse(stage.subspan(off));
-      if (t.tcp_stage.size() - off < FrameHeader::kSize + h.length) break;
-      rt_.cpu().charge(costs::kSessionFrameRecv);
-      handle_frame(trunk, h, stage.subspan(off + FrameHeader::kSize, h.length));
-      off += FrameHeader::kSize + h.length;
-    }
-    t.tcp_stage.erase(t.tcp_stage.begin(), t.tcp_stage.begin() + static_cast<std::ptrdiff_t>(off));
+    core::Message m = t.rx->begin_get();
+    handle_frames(trunk, rt_.board().memory().view(m.data, m.len));
+    t.rx->end_get(m);
   }
 }
 
@@ -689,24 +618,15 @@ void SessionManager::watchdog_tick(int trunk) {
     t.watchdog_set = false;
     return;
   }
-  std::uint64_t inflight;
-  std::uint64_t acked;
-  if (t.proto == TrunkProto::Rmp) {
-    inflight = rmp_->queued_to(t.peer);
-    acked = t.acked_msgs;
-  } else {
-    inflight = t.conn->unacked_bytes();
-    acked = t.tx_bytes - inflight;
-  }
-  if (inflight == 0) {
+  if (rmp_.queued_to(t.peer) == 0) {
     // Idle trunk: disarm; the next send re-arms. Keeps a finished run's
     // event queue empty instead of ticking forever.
     t.watchdog_set = false;
     t.stuck_ticks = 0;
     return;
   }
-  if (acked != t.progress_marker) {
-    t.progress_marker = acked;
+  if (t.acked_msgs != t.progress_marker) {
+    t.progress_marker = t.acked_msgs;
     t.stuck_ticks = 0;
   } else if (++t.stuck_ticks >= 2) {
     t.watchdog_set = false;

@@ -2,9 +2,9 @@
 
 // SessionManager: thousands of logical channels multiplexed over a handful
 // of trunk connections (docs/SESSIONS.md). One instance per CAB owns the
-// node's trunks — established RMP or TCP connections to peer CABs — and
-// runs, per trunk, a pumper thread that batches session frames into trunk
-// messages and a reader thread that demultiplexes inbound frames.
+// node's trunks — RMP connections to peer CABs — and runs, per trunk, a
+// pumper thread that batches session frames into trunk messages and a
+// reader thread that demultiplexes inbound frames.
 //
 // The shape follows the s3tp split the ROADMAP points at: connection
 // management (channel lifecycle, id reuse with generation tags, trunk
@@ -33,7 +33,6 @@
 #include "core/runtime.hpp"
 #include "nproto/rmp.hpp"
 #include "obs/metrics.hpp"
-#include "proto/tcp.hpp"
 #include "session/wire.hpp"
 
 namespace nectar::session {
@@ -55,7 +54,6 @@ struct SessionConfig {
   /// pumper block for a full trunk RTT while frames accumulate into big
   /// batches.
   std::size_t rmp_queue_cap = 2;
-  std::uint32_t tcp_window_cap = 65536;  ///< unacked bytes before a TCP trunk paces
   /// How long the pumper lingers after waking with work before composing a
   /// batch. Producers run below the trunk's interrupt processing, so without
   /// this window a lone staged frame ships immediately, the per-message
@@ -87,8 +85,6 @@ enum class ChannelState : std::uint8_t {
   Refused,    ///< OPEN_NAK: peer admission control said no
 };
 
-const char* channel_state_name(ChannelState s);
-
 /// Timestamped lifecycle event (trunk failures, admission pressure) — the
 /// scenario layer overlays these as telemetry marks.
 struct SessionEvent {
@@ -103,10 +99,9 @@ class SessionManager {
   static constexpr ChannelHandle kNoHandle = 0xffffffffu;
   static constexpr int kClasses = 4;  ///< strict-priority levels (0 = highest)
 
-  /// `node` is this CAB's node id (for gauges and attribution). `rmp` may be
-  /// null if only TCP trunks are added, and vice versa.
-  SessionManager(core::CabRuntime& rt, int node, nproto::Rmp* rmp, proto::Tcp* tcp,
-                 SessionConfig cfg = {});
+  /// `node` is this CAB's node id (for gauges and attribution); `rmp` carries
+  /// every trunk.
+  SessionManager(core::CabRuntime& rt, int node, nproto::Rmp& rmp, SessionConfig cfg = {});
 
   SessionManager(const SessionManager&) = delete;
   SessionManager& operator=(const SessionManager&) = delete;
@@ -124,11 +119,6 @@ class SessionManager {
   void connect_rmp_trunk(int trunk, core::MailboxAddr peer_rx);
   /// Wire one RMP trunk between two managers; returns (a's trunk, b's trunk).
   static std::pair<int, int> connect_rmp_pair(SessionManager& a, SessionManager& b);
-
-  /// Attach an *established* TCP connection as a trunk. Frames are a byte
-  /// stream over the connection; the reader reframes across segment
-  /// boundaries using the frame length field.
-  int add_tcp_trunk(proto::TcpConnection* conn, int peer_node);
 
   int trunk_count() const { return static_cast<int>(trunks_.size()); }
   int trunk_peer(int trunk) const;
@@ -153,7 +143,6 @@ class SessionManager {
   ChannelState state(ChannelHandle h) const;
   std::uint32_t credit(ChannelHandle h) const;
   std::uint16_t wire_id(ChannelHandle h) const;
-  std::size_t staged(ChannelHandle h) const;
 
   // --- delivery / notifications --------------------------------------------
 
@@ -191,7 +180,6 @@ class SessionManager {
   std::uint64_t trunk_tx_msgs(int trunk) const;
   std::uint64_t trunk_tx_frames(int trunk) const;
   std::uint64_t trunk_tx_fast(int trunk) const;
-  std::uint64_t trunk_credit_stalls(int trunk) const;
 
   const std::vector<SessionEvent>& events() const { return events_; }
   const SessionConfig& config() const { return cfg_; }
@@ -199,8 +187,6 @@ class SessionManager {
   int node() const { return node_; }
 
  private:
-  enum class TrunkProto : std::uint8_t { Rmp, Tcp };
-
   struct Staged {
     std::vector<std::uint8_t> bytes;
     bool is_close = false;  // CLOSE marker: ordered behind data, needs no credit
@@ -236,14 +222,10 @@ class SessionManager {
   };
 
   struct Trunk {
-    TrunkProto proto = TrunkProto::Rmp;
     int peer = -1;
-    bool connected = false;
     bool failed = false;
-    core::Mailbox* rx = nullptr;          // rmp: trunk receive mailbox
-    core::MailboxAddr peer_addr{};        // rmp: peer's trunk receive mailbox
-    proto::TcpConnection* conn = nullptr;  // tcp
-    std::vector<std::uint8_t> tcp_stage;   // tcp: partial-frame reassembly
+    core::Mailbox* rx = nullptr;    // trunk receive mailbox
+    core::MailboxAddr peer_addr{};  // peer's trunk receive mailbox
 
     // Initiator-side wire-id allocation (dense; generation bumps on reuse).
     std::uint32_t next_id = 0;
@@ -261,12 +243,11 @@ class SessionManager {
     bool pumper_idle = false;
 
     bool watchdog_set = false;
-    std::uint64_t acked_msgs = 0;       // rmp: trunk messages acknowledged
+    std::uint64_t acked_msgs = 0;       // trunk messages acknowledged
     std::uint64_t progress_marker = 0;  // watchdog snapshot
     int stuck_ticks = 0;
 
     std::uint64_t tx_msgs = 0;
-    std::uint64_t tx_bytes = 0;
     std::uint64_t tx_frames = 0;
     std::uint64_t tx_fast = 0;  // single-frame sends via the Rmp prefix path
     std::uint64_t rx_frames = 0;
@@ -305,8 +286,7 @@ class SessionManager {
 
   core::CabRuntime& rt_;
   int node_;
-  nproto::Rmp* rmp_;
-  proto::Tcp* tcp_;
+  nproto::Rmp& rmp_;
   SessionConfig cfg_;
   core::Mailbox& scratch_;  // stages trunk messages; frees delivered ones
 

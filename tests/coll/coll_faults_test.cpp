@@ -5,11 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "coll/engine.hpp"
 #include "net/system.hpp"
+#include "obs/json.hpp"
 #include "scenario/engine.hpp"
 
 namespace nectar::coll {
@@ -164,7 +167,10 @@ duration = 50ms
 }
 
 TEST(CollFaults, ScenarioCollectivesDeterministicAcrossRuns) {
-  const char* kConfig = R"(
+  // A reduce under seeded link loss, and a broadcast on an 8-node fat tree on
+  // the CAB engine and on the host baseline (which needs a VME bus per node).
+  // The driver checks every reduced value and every broadcast payload byte.
+  const std::string reduce = R"(
 [scenario]
 name = coll-det
 seed = 11
@@ -189,16 +195,43 @@ at = 5ms
 duration = 20ms
 rate = 0.3
 )";
-  auto run_once = [&] {
-    scenario::Scenario sc(
-        scenario::ScenarioSpec::from_config(scenario::Config::parse_string(kConfig)));
-    sc.run();
-    return sc.report().to_json_string();
-  };
-  std::string a = run_once();
-  std::string b = run_once();
-  EXPECT_EQ(a, b);
-  EXPECT_NE(a.find("coll.rounds"), std::string::npos);
+  const std::string bcast = R"(
+[scenario]
+name = coll-bcast
+seed = 3
+duration = 100ms
+
+[topology]
+kind = fat_tree
+nodes = 8
+hub_ports = 6
+spines = 2
+with_vme = yes
+
+[collectives]
+enabled = true
+op = bcast
+iterations = 10
+)";
+  for (const std::string& config : {reduce, bcast + "mode = cab\n", bcast + "mode = host\n"}) {
+    auto run_once = [&] {
+      scenario::Scenario sc(
+          scenario::ScenarioSpec::from_config(scenario::Config::parse_string(config)));
+      sc.run();
+      return sc.report().to_json_string();
+    };
+    std::string a = run_once();
+    std::string b = run_once();
+    EXPECT_EQ(a, b) << config;
+    std::map<std::string, double> rows;
+    obs::json::Value doc = obs::json::Value::parse(a);
+    for (const obs::json::Value& r : doc.find("results")->items()) {
+      rows[r.find("name")->as_string()] = r.find("value")->as_double();
+    }
+    EXPECT_GT(rows.at("coll.rounds"), 0.0) << config;
+    EXPECT_GT(rows.at("coll.ops_completed"), 0.0) << config;
+    EXPECT_EQ(rows.at("coll.data_errors"), 0.0) << config;
+  }
 }
 
 }  // namespace

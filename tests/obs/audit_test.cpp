@@ -85,6 +85,7 @@ TEST(Auditor, ReportJsonIsStructured) {
   a.finalize(sim::msec(4));
   json::Value doc = a.report_json();
   EXPECT_EQ(doc.find("schema")->as_string(), "nectar-audit");
+  EXPECT_EQ(doc.find("version")->as_int(), 1);
   EXPECT_FALSE(doc.find("ok")->as_bool());
   EXPECT_EQ(doc.find("invariants")->as_int(), 2);
   const json::Value& violations = *doc.find("violations");

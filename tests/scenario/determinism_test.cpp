@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+
+#include "obs/json.hpp"
 #include "scenario/engine.hpp"
 
 namespace nectar::scenario {
@@ -107,6 +111,19 @@ TEST(ScenarioDeterminismTest, SloReportCarriesTailPercentiles) {
   EXPECT_GT(wl.delivered(), 0u);
   EXPECT_GT(wl.latency().count(), 0u);
   EXPECT_GT(wl.fairness(), 0.5);
+
+  obs::json::Value doc = obs::json::Value::parse(json);
+  EXPECT_EQ(doc.find("schema")->as_string(), "nectar-bench-report");
+  const obs::json::Value& params = *doc.find("params");
+  EXPECT_EQ(params.find("name")->as_string(), "det");
+  EXPECT_EQ(params.find("nodes")->as_int(), 6);
+  EXPECT_EQ(params.find("topology")->as_string(), "star");
+  std::map<std::string, double> rows;
+  for (const obs::json::Value& r : doc.find("results")->items()) {
+    rows[r.find("name")->as_string()] = r.find("value")->as_double();
+  }
+  EXPECT_EQ(rows.at("faults.injected"), 1.0);
+  EXPECT_GT(rows.at("fault0.drops"), 0.0) << "the scripted drop window never bit";
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -25,6 +26,12 @@ struct TempFile {
 std::string slurp(const std::string& path) {
   std::ifstream f(path, std::ios::binary);
   return std::string(std::istreambuf_iterator<char>(f), std::istreambuf_iterator<char>());
+}
+
+std::uint32_t le32(const std::string& b, std::size_t off) {
+  std::uint32_t v = 0;
+  for (int i = 3; i >= 0; --i) v = v << 8 | static_cast<unsigned char>(b[off + i]);
+  return v;
 }
 
 TEST(FlightRecorderTest, ParsesCaptureAndProfileSections) {
@@ -144,12 +151,33 @@ TEST(FlightRecorderTest, ScenarioProducesAllThreeArtifacts) {
   Scenario sc(recorded_spec(pcap.path, folded.path, timeline.path, 5));
   sc.run();
 
-  // pcap: well-formed header, and the TCP bulk flow crossed node0's link.
+  // pcap: the raw-IP global header, then records that tile the file
+  // exactly, each a whole IPv4 packet, in timestamp order.
   std::string cap = slurp(pcap.path);
   ASSERT_GT(cap.size(), 24u);
-  EXPECT_EQ(static_cast<unsigned char>(cap[0]), 0x4D);  // ns magic, little-endian
+  EXPECT_EQ(le32(cap, 0), 0xA1B23C4Du);  // nanosecond magic
+  EXPECT_EQ(le32(cap, 4), 0x00040002u);  // version 2.4
+  EXPECT_EQ(le32(cap, 16), 65535u);      // snaplen
+  EXPECT_EQ(le32(cap, 20), 101u);        // LINKTYPE_RAW
+  std::size_t off = 24;
+  std::uint64_t records = 0;
+  std::uint64_t last_ns = 0;
+  while (off + 16 <= cap.size()) {
+    const std::uint64_t ts = le32(cap, off) * std::uint64_t{1'000'000'000} + le32(cap, off + 4);
+    const std::uint32_t incl = le32(cap, off + 8);
+    EXPECT_EQ(incl, le32(cap, off + 12)) << "record " << records << " is truncated";
+    ASSERT_GE(incl, 20u) << "record " << records << " is shorter than an IP header";
+    ASSERT_LE(off + 16 + incl, cap.size());
+    EXPECT_EQ(static_cast<unsigned char>(cap[off + 16]) >> 4, 4) << "record " << records;
+    EXPECT_GE(ts, last_ns) << "record " << records << " goes back in time";
+    last_ns = ts;
+    off += 16 + incl;
+    ++records;
+  }
+  EXPECT_EQ(off, cap.size()) << "trailing bytes after the last record";
   ASSERT_EQ(sc.captures().size(), 1u);
-  EXPECT_GT(sc.captures()[0]->packets_written(), 0u);
+  EXPECT_GT(records, 0u);
+  EXPECT_EQ(records, sc.captures()[0]->packets_written());
 
   // folded stacks: non-empty, every line "key ns".
   std::string prof = slurp(folded.path);

@@ -3,6 +3,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/json.hpp"
 #include "scenario/engine.hpp"
 
 namespace nectar::scenario {
@@ -135,6 +136,31 @@ Outcome run_fat_tree(int shards, const std::string& partition = "modulo") {
   return o;
 }
 
+/// The report without its sharding bookkeeping (the shards and partition
+/// params, the parallel.* rows): what no shard count may change.
+std::string simulated_part(const std::string& report) {
+  obs::json::Value doc = obs::json::Value::parse(report);
+  obs::json::Value out = obs::json::Value::object();
+  for (const auto& [key, value] : doc.members()) {
+    if (key == "params") {
+      obs::json::Value params = obs::json::Value::object();
+      for (const auto& [k, v] : value.members()) {
+        if (k != "shards" && k != "partition") params.set(k, v);
+      }
+      out.set(key, std::move(params));
+    } else if (key == "results") {
+      obs::json::Value rows = obs::json::Value::array();
+      for (const obs::json::Value& r : value.items()) {
+        if (r.find("name")->as_string().rfind("parallel.", 0) != 0) rows.push(r);
+      }
+      out.set(key, std::move(rows));
+    } else {
+      out.set(key, value);
+    }
+  }
+  return out.dump(2);
+}
+
 TEST(ParallelScenarioTest, CrossShardTrafficFlows) {
   ScenarioSpec spec = fat_tree_spec(2);
   Scenario sc(std::move(spec));
@@ -152,13 +178,21 @@ TEST(ParallelScenarioTest, CrossShardTrafficFlows) {
                           "parallel.cross_events", "parallel.ideal_speedup"}) {
     EXPECT_NE(json.find(key), std::string::npos) << "missing result " << key;
   }
+  // The partition finds parallelism, and no shard sits idle.
+  sim::ParallelEngine& par = sc.net().parallel();
+  EXPECT_GT(par.total_events(), par.critical_path_events()) << "ideal speedup must exceed 1";
+  for (int i = 0; i < sc.net().shard_count(); ++i) {
+    EXPECT_GT(par.shard_events(i), 0u) << "shard " << i << " sat idle";
+  }
 }
 
 TEST(ParallelScenarioTest, ResultsInvariantAcrossShardCounts) {
   Outcome s1 = run_fat_tree(1);
   Outcome s2 = run_fat_tree(2);
   Outcome s2b = run_fat_tree(2, "block");
-  for (const Outcome* o : {&s2, &s2b}) {
+  Outcome s4 = run_fat_tree(4);
+  for (const Outcome* o : {&s2, &s2b, &s4}) {
+    EXPECT_EQ(simulated_part(s1.report), simulated_part(o->report));
     EXPECT_EQ(s1.delivered, o->delivered);
     EXPECT_EQ(s1.shed, o->shed);
     EXPECT_EQ(s1.errors, o->errors);
@@ -171,9 +205,12 @@ TEST(ParallelScenarioTest, ResultsInvariantAcrossShardCounts) {
 }
 
 TEST(ParallelScenarioTest, FixedShardCountIsByteDeterministic) {
-  Outcome a = run_fat_tree(2);
-  Outcome b = run_fat_tree(2);
-  EXPECT_EQ(a.report, b.report) << "same (spec, seed, shards) must be byte-identical";
+  for (int shards : {2, 4}) {
+    Outcome a = run_fat_tree(shards);
+    Outcome b = run_fat_tree(shards);
+    EXPECT_EQ(a.report, b.report) << "same (spec, seed, shards) must be byte-identical at "
+                                  << shards << " shards";
+  }
 }
 
 }  // namespace

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
 #include <string>
 
+#include "obs/json.hpp"
 #include "scenario/engine.hpp"
 
 namespace nectar::scenario {
@@ -21,8 +23,11 @@ name = telem
 duration = 200ms
 
 [topology]
-kind = dual_hub
+kind = fat_tree
 nodes = 8
+hub_ports = 6
+spines = 2
+route_spread = yes
 
 [workload]
 name = udp
@@ -113,12 +118,39 @@ TEST(ScenarioTelemetry, ArtifactIsByteIdenticalAcrossRuns) {
   std::string a = artifact();
   EXPECT_GT(a.size(), 0u);
   EXPECT_EQ(a, artifact());
+
+  // The schema decodes: every series' delta chain is aligned with the t_ns
+  // axis (first value at `start`, one delta per later tick), and windowed
+  // marks end after they start.
+  obs::json::Value doc = obs::json::Value::parse(a);
+  EXPECT_EQ(doc.find("schema")->as_string(), "nectar-timeseries");
+  EXPECT_EQ(doc.find("version")->as_int(), 1);
+  const std::int64_t ticks = static_cast<std::int64_t>(doc.find("t_ns")->size());
+  const std::int64_t samples = doc.find("samples")->as_int();
+  EXPECT_GT(ticks, 0);
+  EXPECT_EQ(samples, ticks + doc.find("dropped")->as_int());
+  ASSERT_GT(doc.find("series")->size(), 0u);
+  for (const obs::json::Value& s : doc.find("series")->items()) {
+    EXPECT_EQ(s.find("start")->as_int() + 1 + static_cast<std::int64_t>(s.find("deltas")->size()),
+              samples)
+        << s.find("component")->as_string() << "." << s.find("name")->as_string();
+  }
+  ASSERT_GT(doc.find("marks")->size(), 0u);
+  for (const obs::json::Value& m : doc.find("marks")->items()) {
+    if (m.has("end_ns")) {
+      EXPECT_GE(m.find("end_ns")->as_int(), m.find("t_ns")->as_int());
+    }
+  }
 }
 
 TEST(ScenarioTelemetry, ArtifactIsByteIdenticalAcrossRunsAtFourShards) {
   auto artifact = [] {
     Scenario sc(spec_with_telemetry(true, 4));
     sc.run();
+    // Two leaves and two spines: every shard owns a HUB and runs events.
+    for (int i = 0; i < 4; ++i) {
+      EXPECT_GT(sc.net().parallel().shard_events(i), 0u) << "shard " << i << " sat idle";
+    }
     return sc.sampler()->artifact("telem").dump(2);
   };
   std::string a = artifact();
@@ -150,12 +182,107 @@ TEST(ScenarioTelemetry, FaultWindowsBecomeMarks) {
   EXPECT_GT(marks[0].end, marks[0].t);
 }
 
+/// Whether the run's sampler holds a mark of `kind` whose label contains
+/// `label`.
+bool has_mark(Scenario& sc, const std::string& kind, const std::string& label = "") {
+  for (const obs::Sampler::Mark& m : sc.sampler()->marks()) {
+    if (m.kind == kind && m.label.find(label) != std::string::npos) return true;
+  }
+  return false;
+}
+
+TEST(ScenarioTelemetry, FailoverDecisionsBecomeMarks) {
+  // Leaf 0's uplink to spine 0 goes dark for good: probes mark the spine-0
+  // paths dead and the control plane fails flows over to spine 1.
+  ScenarioSpec spec = ScenarioSpec::from_config(Config::parse_string(R"(
+[scenario]
+name = telem-failover
+duration = 300ms
+
+[topology]
+kind = fat_tree
+nodes = 12
+hub_ports = 8
+spines = 2
+
+[routing]
+enabled = true
+paths = 2
+probe_interval = 25ms
+probe_timeout = 5ms
+
+[telemetry]
+enabled = true
+interval = 10ms
+
+[workload]
+name = udp
+proto = udp
+mode = open
+users = 4
+rate = 125
+size = 512
+stride = 6
+
+[fault]
+kind = hub_blackout
+target = hub0.port6
+at = 100ms
+duration = 0
+)"));
+  Scenario sc(std::move(spec));
+  sc.run();
+  EXPECT_TRUE(has_mark(sc, "fault", "hub_blackout"));
+  EXPECT_TRUE(has_mark(sc, "failover"));
+}
+
+TEST(ScenarioTelemetry, TrunkFailuresBecomeSessionMarks) {
+  // Node 1 crashes under live session traffic: every trunk toward it fails
+  // loudly, and each failure lands on the timeline.
+  ScenarioSpec spec = ScenarioSpec::from_config(Config::parse_string(R"(
+[scenario]
+name = telem-sessions
+duration = 200ms
+
+[topology]
+kind = star
+nodes = 4
+
+[sessions]
+enabled = true
+trunks = 2
+channels = 40
+rate = 2000
+size = 32
+warmup = 20ms
+
+[telemetry]
+enabled = true
+interval = 10ms
+
+[fault]
+kind = cab_crash
+target = node1.cab
+at = 100ms
+)"));
+  Scenario sc(std::move(spec));
+  sc.run();
+  EXPECT_TRUE(has_mark(sc, "session", "trunk_failed"));
+}
+
 TEST(ScenarioTelemetry, ReportCarriesTelemetryRows) {
   Scenario sc(spec_with_telemetry(true));
   sc.run();
   std::string rep = sc.report().to_json_string();
-  EXPECT_NE(rep.find("telemetry.samples"), std::string::npos);
-  EXPECT_NE(rep.find("audit.violations"), std::string::npos);
+  std::map<std::string, double> rows;
+  const obs::json::Value doc = obs::json::Value::parse(rep);
+  for (const obs::json::Value& r : doc.find("results")->items()) {
+    rows[r.find("name")->as_string()] = r.find("value")->as_double();
+  }
+  ASSERT_EQ(rows.count("telemetry.samples"), 1u);
+  EXPECT_EQ(rows["telemetry.samples"], static_cast<double>(sc.sampler()->samples()));
+  ASSERT_EQ(rows.count("audit.violations"), 1u);
+  EXPECT_EQ(rows["audit.violations"], 0.0);
   // Telemetry off: no rows, so pre-existing reports stay byte-identical.
   Scenario off(spec_with_telemetry(false));
   off.run();

@@ -25,21 +25,6 @@ TEST(ScenarioTopologyTest, StarRejectsMoreNodesThanPorts) {
   EXPECT_THROW(build_topology(net, s, 1), std::invalid_argument);
 }
 
-TEST(ScenarioTopologyTest, DualHubSplitsNodesAndRoutesAcrossTrunk) {
-  net::Network net;
-  TopologySpec s;
-  s.kind = TopologyKind::DualHub;
-  s.nodes = 10;
-  s.trunks = 2;
-  EXPECT_EQ(build_topology(net, s, 1), 10);
-  EXPECT_EQ(net.hub_count(), 2);
-  // Node 0 lives on hub 0, node 9 on hub 1: the route crosses the trunk.
-  EXPECT_EQ(net.cab_hub(0), 0);
-  EXPECT_EQ(net.cab_hub(9), 1);
-  EXPECT_EQ(net.route(0, 9).size(), 2u);
-  EXPECT_EQ(net.route(0, 1).size(), 1u);
-}
-
 TEST(ScenarioTopologyTest, FatTreeScalesPastOneHubRadix) {
   net::Network net;
   TopologySpec s;
@@ -63,7 +48,6 @@ TEST(ScenarioTopologyTest, RequiresEmptyNetwork) {
 
 TEST(ScenarioTopologyTest, ParseKind) {
   EXPECT_EQ(TopologySpec::parse_kind("star"), TopologyKind::Star);
-  EXPECT_EQ(TopologySpec::parse_kind("dual_hub"), TopologyKind::DualHub);
   EXPECT_EQ(TopologySpec::parse_kind("fat_tree"), TopologyKind::FatTree);
   EXPECT_THROW(TopologySpec::parse_kind("torus"), std::invalid_argument);
 }

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
-#include <algorithm>
+#include <iterator>
+#include <map>
+#include <string>
 
 #include "obs/causal.hpp"
 #include "obs/json.hpp"
@@ -83,28 +85,63 @@ TEST(ScenarioTracingTest, ArtifactAndReportDeterministic) {
   EXPECT_NE(art_a, art_c);
 }
 
+// The nine attribution classes the analyzer emits per flow and per report.
+const char* const kStageClasses[] = {"queueing", "serialization", "switching", "dma", "mailbox",
+                                     "proto",    "retransmit",    "reroute",   "app"};
+
 TEST(ScenarioTracingTest, ReportCarriesAttributionAndHubGauges) {
   Scenario sc(traced_spec(31, kTracingOn));
   sc.run();
   obs::json::Value doc = obs::json::Value::parse(sc.report().to_json_string());
-  std::vector<std::string> names;
+  std::map<std::string, double> rows;
   for (const obs::json::Value& row : doc.find("results")->items()) {
-    names.push_back(row.find("name")->as_string());
+    rows[row.find("name")->as_string()] = row.find("value")->as_double();
   }
-  auto has = [&names](const std::string& n) {
-    return std::find(names.begin(), names.end(), n) != names.end();
-  };
+  auto has = [&rows](const std::string& n) { return rows.count(n) == 1; };
   EXPECT_TRUE(has("tailtrace.traces.started"));
   EXPECT_TRUE(has("tailtrace.traces.finished"));
-  for (const char* cls : {"queueing", "serialization", "switching", "dma", "mailbox",
-                          "proto", "retransmit", "reroute", "app"}) {
+  double share = 0.0;
+  for (const char* cls : kStageClasses) {
     EXPECT_TRUE(has(std::string("tailtrace.tail.") + cls + "_us")) << cls;
     EXPECT_TRUE(has(std::string("tailtrace.tail.") + cls + "_share")) << cls;
+    share += rows[std::string("tailtrace.tail.") + cls + "_share"];
   }
+  EXPECT_NEAR(share, 1.0, 1e-9) << "the tail shares must cover the whole tail";
   // Per-port HUB queue gauges export only when tracing is on.
   EXPECT_TRUE(has("hub.hub0.port0.queue_depth"));
   EXPECT_TRUE(has("hub.hub0.port0.queue_highwater"));
   EXPECT_TRUE(has("hub.hub0.port0.blocked"));
+
+  // The artifact agrees with the report and attributes every flow's tail
+  // over the same nine classes; each slowest trace's stages tile its e2e.
+  obs::json::Value art = obs::CriticalPathAnalyzer(*sc.causal_tracer()).artifact(4);
+  const obs::json::Value& traces = *art.find("traces");
+  EXPECT_EQ(traces.find("started")->as_int(), traces.find("finished")->as_int() +
+                                                   traces.find("unfinished")->as_int() +
+                                                   traces.find("overflowed")->as_int());
+  EXPECT_EQ(static_cast<double>(traces.find("finished")->as_int()),
+            rows["tailtrace.traces.finished"]);
+  ASSERT_EQ(art.find("flows")->size(), 2u) << "one flow per workload";
+  for (const obs::json::Value& f : art.find("flows")->items()) {
+    const std::string flow = f.find("flow")->as_string();
+    const obs::json::Value& tail = *f.find("tail");
+    EXPECT_EQ(tail.size(), std::size(kStageClasses)) << flow;
+    double flow_share = 0.0;
+    for (const char* cls : kStageClasses) {
+      ASSERT_TRUE(tail.has(cls)) << flow << " " << cls;
+      flow_share += tail.find(cls)->find("share")->as_double();
+    }
+    if (f.find("tail_count")->as_int() > 0) {
+      EXPECT_NEAR(flow_share, 1.0, 1e-9) << flow;
+    }
+    for (const obs::json::Value& t : f.find("slowest")->items()) {
+      double stages = 0.0;
+      for (const obs::json::Value& st : t.find("stages")->items()) {
+        stages += st.find("dur_us")->as_double();
+      }
+      EXPECT_NEAR(stages, t.find("e2e_us")->as_double(), 1e-6) << flow;
+    }
+  }
 }
 
 TEST(ScenarioTracingTest, DisabledTracingLeavesReportUntouched) {

@@ -22,8 +22,8 @@ struct Pair {
 
   explicit Pair(SessionConfig cfg = {})
       : sys(2),
-        a(sys.runtime(0), 0, &sys.stack(0).rmp, &sys.stack(0).tcp, cfg),
-        b(sys.runtime(1), 1, &sys.stack(1).rmp, &sys.stack(1).tcp, cfg) {
+        a(sys.runtime(0), 0, sys.stack(0).rmp, cfg),
+        b(sys.runtime(1), 1, sys.stack(1).rmp, cfg) {
     auto [x, y] = SessionManager::connect_rmp_pair(a, b);
     ta = x;
     tb = y;
@@ -370,51 +370,6 @@ TEST(SessionManagerTest, TrunkDeathFailsChannelsWithAttribution) {
   });
   p.sys.engine().run_until(sim::msec(210));
   EXPECT_TRUE(post_checked);
-}
-
-TEST(SessionManagerTest, TcpTrunkCarriesChannels) {
-  net::NectarSystem sys(2);
-  SessionConfig cfg;
-  cfg.max_batch = 256;  // force multi-message framing across the byte stream
-  SessionManager a(sys.runtime(0), 0, nullptr, &sys.stack(0).tcp, cfg);
-  SessionManager b(sys.runtime(1), 1, nullptr, &sys.stack(1).tcp, cfg);
-  std::map<std::uint16_t, std::string> got;
-  b.on_deliver = [&](int, std::uint16_t ch, std::uint8_t, std::span<const std::uint8_t> pl) {
-    got[ch].append(pl.begin(), pl.end());
-  };
-  constexpr int kMsgs = 40;
-  sys.runtime(1).fork_system("server", [&] {
-    proto::TcpListener* l = sys.stack(1).tcp.open_listener(9000);
-    proto::TcpConnection* c = sys.stack(1).tcp.accept(l);
-    b.add_tcp_trunk(c, 0);
-  });
-  sys.runtime(0).fork_system("client", [&] {
-    proto::TcpConnection* c = sys.stack(0).tcp.connect(9001, proto::ip_of_node(1), 9000);
-    sys.stack(0).tcp.wait_established(c);
-    int t = a.add_tcp_trunk(c, 1);
-    SessionManager::ChannelHandle h1 = a.open_channel(t);
-    SessionManager::ChannelHandle h2 = a.open_channel(t);
-    for (int i = 0; i < kMsgs; ++i) {
-      while (a.try_send(h1, bytes("x" + std::to_string(i) + ";")) != SendResult::Ok) {
-        sys.runtime(0).cpu().sleep_for(sim::usec(200));
-      }
-      while (a.try_send(h2, bytes("y" + std::to_string(i) + ";")) != SendResult::Ok) {
-        sys.runtime(0).cpu().sleep_for(sim::usec(200));
-      }
-    }
-    a.close_channel(h1);
-    a.close_channel(h2);
-  });
-  sys.engine().run();
-  ASSERT_EQ(got.size(), 2u);
-  std::string want_x, want_y;
-  for (int i = 0; i < kMsgs; ++i) {
-    want_x += "x" + std::to_string(i) + ";";
-    want_y += "y" + std::to_string(i) + ";";
-  }
-  EXPECT_EQ(got[0], want_x);
-  EXPECT_EQ(got[1], want_y);
-  EXPECT_EQ(a.channels_closed(), 2u);
 }
 
 }  // namespace
