@@ -152,7 +152,7 @@ int main(int argc, char** argv) {
       std::printf("profile: folded stacks -> %s\n", sc.spec().profile.folded.c_str());
     }
     if (!sc.spec().profile.timeline.empty()) {
-      std::printf("profile: protocol timelines -> %s\n", sc.spec().profile.timeline.c_str());
+      std::printf("profile: event log -> %s\n", sc.spec().profile.timeline.c_str());
     }
     if (!trace_path.empty()) {
       if (!sc.net().tracer().write_chrome(trace_path)) {

@@ -51,4 +51,14 @@ Mailbox* CabRuntime::find_mailbox(std::uint32_t index) {
   return it == mailboxes_.end() ? nullptr : it->second.get();
 }
 
+void CabRuntime::log(const char* kind, std::string detail) {
+  const sim::SimTime t = engine().now();
+  if (obs::tracing(cpu_.tracer())) cpu_.tracer()->instant_at(cpu_.trace_track(), kind, t);
+  if (log_.size() >= kLogCap) {
+    ++log_dropped_;
+    return;
+  }
+  log_.push_back(LogEntry{t, node_id(), kind, std::move(detail)});
+}
+
 }  // namespace nectar::core

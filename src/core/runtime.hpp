@@ -5,6 +5,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "core/cpu.hpp"
 #include "core/heap.hpp"
@@ -17,6 +18,16 @@
 #include "obs/tracer.hpp"
 
 namespace nectar::core {
+
+/// One entry of a CAB's event log: something a protocol or the control plane
+/// decided at simulated time `t` on `node` ("rmp.retransmit",
+/// "route.failover", ...). net::Network::events() merges every CAB's log.
+struct LogEntry {
+  sim::SimTime t = 0;
+  int node = -1;
+  const char* kind = "";  ///< a string literal
+  std::string detail;
+};
 
 /// The CAB runtime system (paper §3): boots on a CabBoard and provides the
 /// facilities transport protocols and CAB-resident applications are built
@@ -74,6 +85,15 @@ class CabRuntime {
     if (obs::tracing(cpu_.tracer())) cpu_.tracer()->instant(cpu_.trace_track(), label);
   }
 
+  /// Append an event stamped with this CAB's clock (host memory only: nothing
+  /// is scheduled or charged), and mark `kind` on the CPU track while tracing.
+  /// Only this CAB's shard writes the log, so it takes no lock. Entries past
+  /// kLogCap are counted in log_dropped(), not stored.
+  void log(const char* kind, std::string detail);
+  const std::vector<LogEntry>& log_entries() const { return log_; }
+  std::uint64_t log_dropped() const { return log_dropped_; }
+  static constexpr std::size_t kLogCap = 4096;
+
   /// The registry this node reports into (network-wide or the private
   /// fallback).
   obs::MetricsRegistry& metrics() { return *metrics_; }
@@ -96,6 +116,8 @@ class CabRuntime {
   std::map<std::uint32_t, std::unique_ptr<Mailbox>> mailboxes_;
   std::uint32_t next_mailbox_ = 1;
   std::function<void()> packet_handler_;
+  std::vector<LogEntry> log_;
+  std::uint64_t log_dropped_ = 0;
 
   // Last member: its probes read the members above, so it must release first.
   obs::Registration metrics_reg_;

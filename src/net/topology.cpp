@@ -150,6 +150,24 @@ int Network::add_hub(int ports, int shard) {
   return id;
 }
 
+std::vector<core::LogEntry> Network::events() const {
+  std::vector<core::LogEntry> out;
+  for (const auto& cn : cabs_) {
+    const auto& log = cn->rt->log_entries();
+    out.insert(out.end(), log.begin(), log.end());
+  }
+  std::stable_sort(out.begin(), out.end(), [](const core::LogEntry& a, const core::LogEntry& b) {
+    return a.t != b.t ? a.t < b.t : a.node < b.node;
+  });
+  return out;
+}
+
+std::uint64_t Network::events_dropped() const {
+  std::uint64_t n = 0;
+  for (const auto& cn : cabs_) n += cn->rt->log_dropped();
+  return n;
+}
+
 int Network::add_cab(int hub_id, int port, bool with_vme) {
   if (hub_id < 0 || hub_id >= hub_count()) throw std::out_of_range("Network::add_cab: bad hub");
   int node = static_cast<int>(cabs_.size());

@@ -115,6 +115,11 @@ class Network {
   core::CabRuntime& runtime(int node) { return *cabs_.at(static_cast<std::size_t>(node))->rt; }
   proto::Datalink& datalink(int node) { return *cabs_.at(static_cast<std::size_t>(node))->dl; }
   hw::VmeBus* vme(int node) { return cabs_.at(static_cast<std::size_t>(node))->vme.get(); }
+  /// Every CAB's event log merged in (t, node) order, each CAB's entries in
+  /// insertion order: deterministic at any fixed shard count.
+  std::vector<core::LogEntry> events() const;
+  /// Entries past the per-CAB log cap, summed over CABs.
+  std::uint64_t events_dropped() const;
   /// Where a CAB hangs off the switch fabric (fault targeting needs the
   /// HUB port that feeds the CAB's inbound fiber).
   int cab_hub(int node) const { return cabs_.at(static_cast<std::size_t>(node))->hub; }

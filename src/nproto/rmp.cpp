@@ -97,9 +97,8 @@ void Rmp::transmit_head(int node) {
                            [this, node] { on_timeout(node); });
 }
 
-void Rmp::record_event(const char* kind, int peer, std::uint16_t seq) {
-  if (!record_events_ || events_.size() >= kEventCap) return;
-  events_.push_back(RmpEvent{runtime().engine().now(), kind, peer, seq});
+void Rmp::log(const char* kind, int peer, std::uint16_t seq) {
+  runtime().log(kind, "peer=" + std::to_string(peer) + " seq=" + std::to_string(seq));
 }
 
 void Rmp::on_timeout(int node) {
@@ -107,7 +106,7 @@ void Rmp::on_timeout(int node) {
   if (!ch.timer_set || !ch.outstanding) return;
   ch.timer_set = false;
   ++retransmissions_;
-  record_event("retransmit", node, ch.next_seq);
+  log("rmp.retransmit", node, ch.next_seq);
   if (const Pending& p = ch.queue.front(); p.ctx.valid()) {
     if (auto* ct = obs::CausalTracer::active()) ct->annotate(p.ctx, "rmp.retx");
   }
@@ -143,7 +142,7 @@ void Rmp::wait_queue_below(int node, std::size_t n) {
   core::InterruptGuard g(cpu);
   SendChannel& ch = send_channels_[node];
   while (ch.queue.size() >= n) {
-    record_event("window_stall", node, 0);
+    log("rmp.window_stall", node, ch.next_seq);
     ch.drain_waiters.push_back(cpu.current_thread());
     cpu.block_unmasked();
   }

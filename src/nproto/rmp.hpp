@@ -14,21 +14,15 @@
 
 namespace nectar::nproto {
 
-/// One protocol event recorded when event capture is on
-/// (Rmp::set_record_events): retransmissions and sender window stalls.
-struct RmpEvent {
-  sim::SimTime t = 0;
-  const char* kind = "";  // "retransmit" | "window_stall"
-  int peer = 0;           // remote node
-  std::uint16_t seq = 0;  // outstanding sequence number (0 for stalls)
-};
-
 /// Nectar reliable message protocol (paper §4): "a simple stop-and-wait
 /// protocol". One message outstanding per destination node; the receiver
 /// acknowledges each message; the sender retransmits on timeout. No software
 /// checksum — it "relies on the CRC implemented by the CAB hardware" (§6.2),
 /// which is why RMP reaches ~90 Mbit/s CAB-to-CAB where TCP pays the per-byte
 /// checksum tax (Fig. 7).
+///
+/// Retransmissions and window stalls go to the CAB's event log as
+/// "rmp.retransmit" / "rmp.window_stall", detail "peer=<n> seq=<outstanding>".
 class Rmp : public proto::DatalinkClient {
  public:
   /// Stop-and-wait retransmission interval (no RTT estimation in the paper's
@@ -87,15 +81,6 @@ class Rmp : public proto::DatalinkClient {
   std::uint64_t duplicates_dropped() const { return dups_; }
   std::uint64_t acks_sent() const { return acks_sent_; }
 
-  // --- event timeline ---------------------------------------------------------
-
-  /// Record retransmit/window-stall events (bounded at kEventCap). Costs host
-  /// memory only, never simulated time; off by default.
-  void set_record_events(bool on) { record_events_ = on; }
-  bool record_events() const { return record_events_; }
-  const std::vector<RmpEvent>& events() const { return events_; }
-  static constexpr std::size_t kEventCap = 4096;
-
  private:
   static constexpr std::uint8_t kFlagData = 0;
   static constexpr std::uint8_t kFlagAck = 1;
@@ -125,7 +110,7 @@ class Rmp : public proto::DatalinkClient {
   void handle_ack(int node, std::uint16_t seq);
   void on_timeout(int node);
   void send_ack(int node, std::uint16_t seq);
-  void record_event(const char* kind, int peer, std::uint16_t seq);
+  void log(const char* kind, int peer, std::uint16_t seq);
 
   proto::Datalink& dl_;
   core::Mailbox& input_;
@@ -138,8 +123,6 @@ class Rmp : public proto::DatalinkClient {
   std::uint64_t dups_ = 0;
   std::uint64_t acks_sent_ = 0;
   std::uint64_t dropped_no_mailbox_ = 0;
-  bool record_events_ = false;
-  std::vector<RmpEvent> events_;
 
   // Last member: probes read the counters above, so they must unhook first.
   obs::Registration metrics_reg_;

@@ -24,7 +24,6 @@ std::map<const void*, std::vector<const char*>>& stacks() {
 }  // namespace
 
 Profiler::~Profiler() {
-  if (!autoflush_.empty()) write_folded(autoflush_);
   if (enabled_) --g_enabled;
 }
 

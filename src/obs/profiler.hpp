@@ -100,13 +100,6 @@ class Profiler {
   /// Returns false (writing nothing) if the file cannot be opened.
   bool write_folded(const std::string& path) const;
 
-  /// Write folded() to `path` when this profiler is destroyed (RAII: the
-  /// artifact survives a run that ends mid-transfer). An explicit
-  /// write_folded to the same path beforehand is harmless — the flush just
-  /// rewrites identical bytes.
-  void set_autoflush(std::string path) { autoflush_ = std::move(path); }
-  const std::string& autoflush_path() const { return autoflush_; }
-
   /// JSON summary: samples, per-CPU/per-context busy totals, run-queue
   /// wait, queue-depth gauges, resource occupancy. Deterministic.
   json::Value summary() const;
@@ -126,7 +119,6 @@ class Profiler {
   };
 
   bool enabled_ = false;
-  std::string autoflush_;
   /// Serializes the mutators, which shard worker threads call concurrently
   /// under the parallel engine. All accumulation is commutative (+=, max)
   /// into sorted maps, so totals — and the rendered output — are identical

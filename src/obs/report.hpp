@@ -43,8 +43,8 @@ class RunReport {
   /// Attach a metrics snapshot (rendered under "metrics").
   void attach_metrics(const Snapshot& snap);
 
-  /// Attach an extra top-level section (e.g. "profile", "timelines"),
-  /// rendered after "metrics" in insertion order. Attach each key once.
+  /// Attach an extra top-level section (e.g. "profile"), rendered after
+  /// "metrics" in insertion order. Attach each key once.
   void extra(const std::string& key, json::Value value);
 
   std::size_t result_count() const { return results_.size(); }

@@ -1,7 +1,6 @@
 #include "obs/timeseries.hpp"
 
 #include <algorithm>
-#include <fstream>
 #include <stdexcept>
 #include <tuple>
 
@@ -28,14 +27,13 @@ Sampler::Sampler(MetricsRegistry& registry, Options options)
   }
 }
 
-bool Sampler::excluded(const MetricKey& key) const {
-  const std::string qualified = key.component + "." + key.name;
+bool Sampler::excluded(const std::string& name) const {
   for (const std::string& pat : options_.exclude) {
-    if (qualified.find(pat) != std::string::npos) return true;
+    if (name.find(pat) != std::string::npos) return true;
   }
   if (!options_.include.empty()) {
     for (const std::string& pat : options_.include) {
-      if (qualified.find(pat) != std::string::npos) return false;
+      if (name.find(pat) != std::string::npos) return false;
     }
     return true;
   }
@@ -52,7 +50,7 @@ void Sampler::sample(sim::SimTime t) {
 
   Snapshot snap = registry_.snapshot();
   for (const SnapshotEntry& e : snap.entries()) {
-    if (excluded(e.key)) continue;
+    if (excluded(e.key.component + "." + e.key.name)) continue;
     if (e.kind == SnapshotEntry::Kind::Histogram) {
       record(SeriesKey{e.key, "count"}, e.kind, static_cast<std::int64_t>(e.count), tick);
       record(SeriesKey{e.key, "sum"}, e.kind, e.sum, tick);
@@ -108,6 +106,7 @@ void Sampler::evict_oldest() {
 }
 
 void Sampler::mark(sim::SimTime t, std::string kind, std::string label, sim::SimTime end) {
+  if (excluded(kind)) return;
   marks_.push_back(Mark{t, end, std::move(kind), std::move(label)});
 }
 
@@ -157,13 +156,6 @@ json::Value Sampler::artifact(const std::string& name) const {
   }
   doc.set("marks", std::move(marks));
   return doc;
-}
-
-bool Sampler::write(const std::string& path, const std::string& name) const {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) return false;
-  out << artifact(name).dump(2) << '\n';
-  return out.good();
 }
 
 }  // namespace nectar::obs

@@ -18,7 +18,7 @@
 // worker thread is running, so reading the registry is race-free even under
 // [parallel] shards > 1.
 //
-// Fault windows and failover instants are overlaid as *marks* so plots line
+// Fault windows and event-log instants are overlaid as *marks* so plots line
 // up with injected events without joining a second artifact.
 
 #include <cstdint>
@@ -41,16 +41,16 @@ class Sampler {
     sim::SimTime interval = sim::msec(10);
     /// Ring capacity: oldest ticks are folded away past this many samples.
     std::size_t max_samples = 4096;
-    /// Series whose "component.name" contains any of these substrings are
-    /// skipped. Defaults drop the host-side probes that would make the
-    /// artifact nondeterministic: the parallel engine's wall-clock timers,
-    /// and the thread-local byte-pool caches whose counters accumulate
-    /// across Networks in one process.
+    /// Series whose "component.name", and marks whose kind, contain any of
+    /// these substrings are skipped. Defaults drop the host-side probes that
+    /// would make the artifact nondeterministic: the parallel engine's
+    /// wall-clock timers, and the thread-local byte-pool caches whose
+    /// counters accumulate across Networks in one process.
     std::vector<std::string> exclude{"work_ns", "barrier_wait_ns", "framepool", "hdrpool"};
-    /// When non-empty, ONLY series whose "component.name" contains one of
-    /// these substrings are kept (exclude still applies on top). Lets a big
-    /// topology record a focused artifact — e.g. {"sim.parallel"} for the
-    /// per-window shard-imbalance series — instead of every per-node metric.
+    /// When non-empty, ONLY series whose "component.name", and marks whose
+    /// kind, contain one of these substrings are kept (exclude still applies
+    /// on top). Lets a big topology record a focused artifact — e.g.
+    /// {"sim.parallel"} for the per-window shard-imbalance series.
     std::vector<std::string> include;
   };
 
@@ -58,7 +58,7 @@ class Sampler {
   struct Mark {
     sim::SimTime t = 0;
     sim::SimTime end = -1;
-    std::string kind;   // "fault", "failover", "revert", ...
+    std::string kind;   // "fault", or an event-log kind ("rmp.retransmit", ...)
     std::string label;  // element / event description
   };
 
@@ -76,6 +76,7 @@ class Sampler {
   void sample(sim::SimTime t);
 
   /// Annotate the timeline. `end` < 0 marks an instant, otherwise a window.
+  /// A `kind` the include/exclude filters reject is dropped.
   void mark(sim::SimTime t, std::string kind, std::string label, sim::SimTime end = -1);
 
   std::size_t samples() const { return total_samples_; }
@@ -87,8 +88,6 @@ class Sampler {
 
   /// The "nectar-timeseries" artifact document (see docs/OBSERVABILITY.md).
   json::Value artifact(const std::string& name) const;
-  /// Write artifact(name) to `path` (pretty-printed); false on I/O failure.
-  bool write(const std::string& path, const std::string& name) const;
 
  private:
   /// A scalar sub-stream of one metric: `field` is "" for counters/gauges/
@@ -107,7 +106,8 @@ class Sampler {
     std::size_t last_tick = 0;  ///< global tick index of the latest value
   };
 
-  bool excluded(const MetricKey& key) const;
+  /// Whether include/exclude drop a series ("component.name") or mark kind.
+  bool excluded(const std::string& name) const;
   void record(const SeriesKey& key, SnapshotEntry::Kind kind, std::int64_t value,
               std::size_t tick);
   void evict_oldest();

@@ -443,7 +443,7 @@ void Tcp::on_retransmit_timeout(std::uint32_t conn_id) {
   // Karn's rule: outstanding RTT samples are invalid after a retransmission.
   c->rtt_samples_.clear();
   c->rto_ = std::min(c->rto_ * 2, config_.max_rto);
-  timeline_sample(c, "rto");
+  window_point(c, "tcp.rto");
 
   switch (c->state_) {
     case TcpConnection::State::SynSent:
@@ -695,7 +695,7 @@ void Tcp::handle_ack(TcpConnection* c, const TcpHeader& th) {
       if (++c->dup_acks_ == 3) {
         ++c->fast_retx_;
         cc_on_loss(c, /*fast=*/true);
-        timeline_sample(c, "fast_retx");
+        window_point(c, "tcp.fast_retx");
         retransmit_head(c);
       }
     }
@@ -706,7 +706,7 @@ void Tcp::handle_ack(TcpConnection* c, const TcpHeader& th) {
   std::uint32_t acked_bytes = th.ack - c->snd_una_;
   c->snd_una_ = th.ack;
   cc_on_new_ack(c, acked_bytes);
-  timeline_sample(c, "ack");
+  window_point(c);
 
   // RTT samples (Karn-filtered: cleared on any retransmission).
   for (auto it = c->rtt_samples_.begin(); it != c->rtt_samples_.end();) {
@@ -812,25 +812,28 @@ void Tcp::drain_out_of_order(TcpConnection* c) {
   }
 }
 
-void Tcp::timeline_sample(TcpConnection* c, const char* event) {
-  if (!record_timeline_ || c->timeline_.size() >= kTimelineCap) return;
-  TcpTimelineSample s;
-  s.t = runtime().engine().now();
-  s.event = event;
-  s.cwnd = c->cwnd_;
-  s.ssthresh = c->ssthresh_;
-  s.srtt = c->srtt_;
-  s.rto = c->rto_;
-  s.snd_una = c->snd_una_;
-  s.snd_nxt = c->snd_nxt_;
-  s.rcv_nxt = c->rcv_nxt_;
-  c->timeline_.push_back(s);
+void Tcp::window_point(TcpConnection* c, const char* kind) {
+  if (kind != nullptr) {
+    runtime().log(kind, "conn=" + std::to_string(c->id_) + " cwnd=" + std::to_string(c->cwnd_) +
+                            " ssthresh=" + std::to_string(c->ssthresh_) + " srtt_ns=" +
+                            std::to_string(c->srtt_) + " rto_ns=" + std::to_string(c->rto_) +
+                            " snd_una=" + std::to_string(c->snd_una_) + " snd_nxt=" +
+                            std::to_string(c->snd_nxt_) + " rcv_nxt=" +
+                            std::to_string(c->rcv_nxt_));
+  }
+  core::Cpu& cpu = runtime().cpu();
+  if (!obs::tracing(cpu.tracer())) return;
+  // One counter pair per connection: Chrome traces key counters by
+  // (process, name), and a node runs several connections.
+  const std::string conn = "conn" + std::to_string(c->id_);
+  cpu.tracer()->counter(cpu.trace_track(), conn + ".cwnd", c->cwnd_);
+  cpu.tracer()->counter(cpu.trace_track(), conn + ".ssthresh", c->ssthresh_);
 }
 
 void Tcp::enter_established(TcpConnection* c) {
   c->state_ = TcpConnection::State::Established;
   cc_init(c);
-  timeline_sample(c, "established");
+  window_point(c, "tcp.established");
   if (c->spawned_by_ != nullptr) {
     c->spawned_by_->ready.push_back(c);
     c->spawned_by_ = nullptr;

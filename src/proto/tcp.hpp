@@ -4,7 +4,6 @@
 #include <deque>
 #include <map>
 #include <memory>
-#include <vector>
 
 #include "proto/ip.hpp"
 
@@ -19,23 +18,6 @@ struct TcpListener {
   bool open = false;
   std::deque<class TcpConnection*> ready;  // established, not yet accepted
   std::uint64_t accepted = 0;
-};
-
-/// One point-in-time observation of a connection's transmission state,
-/// recorded when timeline capture is on (Tcp::set_record_timeline). Samples
-/// are taken at the state transitions that matter for post-mortem analysis:
-/// connection establishment, every ACK that advances snd_una, retransmission
-/// timeouts, and fast retransmits.
-struct TcpTimelineSample {
-  sim::SimTime t = 0;
-  const char* event = "";      // "established" | "ack" | "rto" | "fast_retx"
-  std::uint32_t cwnd = 0;
-  std::uint32_t ssthresh = 0;
-  sim::SimTime srtt = 0;
-  sim::SimTime rto = 0;
-  std::uint32_t snd_una = 0;
-  std::uint32_t snd_nxt = 0;
-  std::uint32_t rcv_nxt = 0;
 };
 
 /// One TCP connection endpoint.
@@ -87,9 +69,6 @@ class TcpConnection {
   /// Congestion window (meaningful when congestion control is enabled).
   std::uint32_t cwnd() const { return cwnd_; }
   std::uint32_t ssthresh() const { return ssthresh_; }
-
-  /// Recorded state samples (empty unless Tcp::set_record_timeline(true)).
-  const std::vector<TcpTimelineSample>& timeline() const { return timeline_; }
 
  private:
   friend class Tcp;
@@ -147,8 +126,6 @@ class TcpConnection {
   // Window-update bookkeeping (receiver side).
   std::uint16_t last_advertised_wnd_ = 0;
   bool wnd_update_pending_ = false;
-
-  std::vector<TcpTimelineSample> timeline_;  // bounded, see kTimelineCap
 };
 
 /// Configuration: `software_checksum` toggles the per-byte checksum work
@@ -242,16 +219,6 @@ class Tcp {
   std::uint64_t resets_sent() const { return rst_sent_; }
   std::size_t mss() const { return mss_; }
 
-  // --- timelines ---------------------------------------------------------------
-
-  /// Record per-connection state samples (cwnd/ssthresh/srtt/rto/seq points)
-  /// at establishment, new ACKs, RTOs, and fast retransmits. Off by default:
-  /// recording costs host memory only (never simulated time) but is bounded
-  /// at kTimelineCap samples per connection.
-  void set_record_timeline(bool on) { record_timeline_ = on; }
-  bool record_timeline() const { return record_timeline_; }
-  static constexpr std::size_t kTimelineCap = 4096;
-
   /// All connections ever created (including closed ones), for reporting.
   const std::map<std::uint32_t, std::unique_ptr<TcpConnection>>& connections() const {
     return connections_;
@@ -308,7 +275,9 @@ class Tcp {
   void drain_out_of_order(TcpConnection* c);
   void enter_established(TcpConnection* c);
   void enter_time_wait(TcpConnection* c);
-  void timeline_sample(TcpConnection* c, const char* event);
+  /// cwnd and ssthresh as Chrome-trace counters (while tracing) at a new ACK
+  /// or a transition; a transition's `kind` also goes to the event log.
+  void window_point(TcpConnection* c, const char* kind = nullptr);
   void wake_state_waiters(TcpConnection* c);
   void deliver_eof(TcpConnection* c);
 
@@ -331,7 +300,6 @@ class Tcp {
   std::uint64_t segs_rcvd_ = 0;
   std::uint64_t bad_checksum_ = 0;
   std::uint64_t rst_sent_ = 0;
-  bool record_timeline_ = false;
 
   // Last member: probes read the counters above, so they must unhook first.
   obs::Registration metrics_reg_;

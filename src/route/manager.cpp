@@ -97,12 +97,12 @@ void RouteManager::on_path_dead(int node, int dst, int path, sim::SimTime first_
     // Every path is dead. Keep the stale route installed (sends still work
     // if the fault heals under us) and record the outage.
     ++no_path_;
-    record_event("no_path", node, dst, path);
+    log("route.no_path", node, dst, path);
     return;
   }
   install(node, dst, alt);
   ++failovers_;
-  record_event("failover", node, dst, alt);
+  log("route.failover", node, dst, alt);
   // Runs on node's prober thread at detection time, so this spans the whole
   // window the application saw: first missed probe send -> route switched.
   reroute_.observe(net_.engine().now() - first_miss_sent_at);
@@ -111,7 +111,6 @@ void RouteManager::on_path_dead(int node, int dst, int path, sim::SimTime first_
     // to rerouting rather than generic retransmit wait.
     ct->note_reroute(node, dst, first_miss_sent_at, net_.engine().now());
   }
-  net_.runtime(node).trace_mark("route.failover");
 }
 
 void RouteManager::on_path_recovered(int node, int dst, int path) {
@@ -122,29 +121,18 @@ void RouteManager::on_path_recovered(int node, int dst, int path) {
     // Total outage healing: any alive path beats the dead one we kept.
     install(node, dst, path);
     ++failovers_;
-    record_event("failover", node, dst, path);
-    net_.runtime(node).trace_mark("route.failover");
+    log("route.failover", node, dst, path);
     return;
   }
   if (cfg_.revert && path == paths_->preferred(node, dst)) {
     install(node, dst, path);
     ++reverts_;
-    record_event("revert", node, dst, path);
-    net_.runtime(node).trace_mark("route.revert");
+    log("route.revert", node, dst, path);
   }
 }
 
-void RouteManager::record_event(const char* kind, int node, int dst, int path) {
-  // Stamped with the deciding node's shard clock; the lock only guards the
-  // vector (shard prober threads append concurrently when shards > 1).
-  sim::SimTime t = net_.engine_of_node(node).now();
-  std::lock_guard<std::mutex> lock(events_mu_);
-  events_.push_back(RouteEvent{t, kind, node, dst, path});
-}
-
-std::vector<RouteManager::RouteEvent> RouteManager::events() const {
-  std::lock_guard<std::mutex> lock(events_mu_);
-  return events_;
+void RouteManager::log(const char* kind, int node, int dst, int path) {
+  net_.runtime(node).log(kind, "dst=" + std::to_string(dst) + " path=" + std::to_string(path));
 }
 
 std::uint64_t RouteManager::probes_sent() const {

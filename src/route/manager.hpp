@@ -7,6 +7,9 @@
 // first surviving path — in-flight TCP/RMP traffic simply starts taking the
 // new source route on its next (re)transmission, no connection state is
 // touched. On recovery it reverts to the preferred path (configurable).
+// Each decision goes to the deciding node's event log as "route.failover",
+// "route.revert" or "route.no_path" (every path dead; the stale route was
+// kept), with detail "dst=<d> path=<p>".
 //
 // Everything runs on the simulated CABs: detections arrive on the reporting
 // node's prober thread at simulated time, so the reroute latency histogram
@@ -17,7 +20,6 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
@@ -61,21 +63,6 @@ class RouteManager : public HealthListener {
   std::uint64_t failovers() const { return failovers_; }
   std::uint64_t reverts() const { return reverts_; }
   std::uint64_t no_path_events() const { return no_path_; }
-
-  /// One routing decision, stamped with the deciding node's simulated clock.
-  /// kind is "failover" (switched to a surviving path), "revert" (restored
-  /// the preferred path after recovery) or "no_path" (every path dead; the
-  /// stale route was kept). Telemetry turns these into time-series marks.
-  struct RouteEvent {
-    sim::SimTime t = 0;
-    std::string kind;
-    int node = -1;
-    int dst = -1;
-    int path = -1;
-  };
-  /// Snapshot of the decision log (copied under the log lock — decisions
-  /// land on shard prober threads, so readers must not alias the vector).
-  std::vector<RouteEvent> events() const;
   std::uint64_t probes_sent() const;
   std::uint64_t probe_timeouts() const;
   std::uint64_t probe_replies() const;
@@ -94,7 +81,7 @@ class RouteManager : public HealthListener {
   void install(int src, int dst, int path);
   /// First alive path for src -> dst, preferred-first; -1 if all dead.
   int pick_alive(int src, int dst) const;
-  void record_event(const char* kind, int node, int dst, int path);
+  void log(const char* kind, int node, int dst, int path);
 
   net::Network& net_;
   RoutingConfig cfg_;
@@ -109,8 +96,6 @@ class RouteManager : public HealthListener {
   std::uint64_t no_path_ = 0;
   std::uint64_t routes_installed_ = 0;
   obs::LatencyHistogram reroute_;
-  mutable std::mutex events_mu_;
-  std::vector<RouteEvent> events_;
 
   obs::Registration metrics_reg_;
 };

@@ -254,6 +254,35 @@ int parse_capture_node(const std::string& element, int nodes) {
                               "))");
 }
 
+/// Write `text` to `path`, the value of INI key `key`, or throw naming both.
+void write_artifact(const char* key, const std::string& path, const std::string& text) {
+  std::ofstream out(path, std::ios::binary);
+  out << text;
+  out.close();
+  if (!out) {
+    throw std::runtime_error(std::string("scenario: cannot write ") + key + " '" + path + "'");
+  }
+}
+
+/// The merged event log as a "nectar-events" document.
+obs::json::Value events_document(const net::Network& net) {
+  obs::json::Value events = obs::json::Value::array();
+  for (const core::LogEntry& e : net.events()) {
+    obs::json::Value v = obs::json::Value::object();
+    v.set("t_ns", e.t);
+    v.set("node", e.node);
+    v.set("kind", e.kind);
+    v.set("detail", e.detail);
+    events.push(std::move(v));
+  }
+  obs::json::Value doc = obs::json::Value::object();
+  doc.set("schema", "nectar-events");
+  doc.set("version", std::int64_t{1});
+  doc.set("dropped", net.events_dropped());
+  doc.set("events", std::move(events));
+  return doc;
+}
+
 }  // namespace
 
 ScenarioSpec ScenarioSpec::from_config(const Config& cfg) {
@@ -408,19 +437,13 @@ Scenario::Scenario(ScenarioSpec spec) : spec_(std::move(spec)), net_(spec_.paral
     int node = parse_capture_node(c.element, n);
     auto w = std::make_unique<obs::PcapWriter>(
         c.file, parse_name(kCaptureFormats, c.format, "capture: unknown format"));
+    if (!w->ok()) {
+      throw std::runtime_error("scenario: cannot write [capture] file '" + c.file + "'");
+    }
     net_.cab(node).out_link().attach_pcap(w.get());
     pcaps_.push_back(std::move(w));
   }
-  if (!spec_.profile.folded.empty()) {
-    net_.profiler().set_enabled(true);
-    net_.profiler().set_autoflush(spec_.profile.folded);
-  }
-  if (!spec_.profile.timeline.empty()) {
-    for (auto& s : stacks_) {
-      s->tcp.set_record_timeline(true);
-      s->rmp.set_record_events(true);
-    }
-  }
+  if (!spec_.profile.folded.empty()) net_.profiler().set_enabled(true);
   if (spec_.telemetry.enabled) {
     // Substrate probes (HUB crossbar, engine pools) plus per-workload flow
     // counters feed the sampler.
@@ -459,57 +482,43 @@ void Scenario::run() {
   }
   faults_->finalize();
   if (sampler_) {
-    // Overlay the injected faults and routing decisions as marks, now that
-    // fault attribution windows are closed.
-    const auto& records = faults_->records();
-    for (const FaultRecord& r : records) {
+    // Overlay the injected faults as windows, now that their attribution
+    // windows are closed, and every logged event as an instant.
+    for (const FaultRecord& r : faults_->records()) {
       sampler_->mark(r.applied_at, "fault", r.spec.describe(),
                      r.cleared_at >= 0 ? r.cleared_at : spec_.duration);
     }
-    if (routing_) {
-      for (const route::RouteManager::RouteEvent& e : routing_->events()) {
-        sampler_->mark(e.t, e.kind,
-                       "node" + std::to_string(e.node) + "->" + std::to_string(e.dst) +
-                           " path" + std::to_string(e.path));
-      }
-    }
-    if (sessions_) {
-      for (int i = 0; i < nodes(); ++i) {
-        for (const session::SessionEvent& e : sessions_->manager(i).events()) {
-          sampler_->mark(e.t, "session", "node" + std::to_string(i) + " " + e.kind + ": " +
-                                             e.detail);
-        }
-      }
+    for (const core::LogEntry& e : net_.events()) {
+      sampler_->mark(e.t, e.kind, "node" + std::to_string(e.node) + " " + e.detail);
     }
   }
-  if (!spec_.profile.timeline.empty()) {
-    std::ofstream out(spec_.profile.timeline, std::ios::binary);
-    if (out) out << timelines_json().dump(2) << '\n';
-  }
-  // Flush capture/profile artifacts now (destructors would too): a scenario
-  // that has run leaves complete files behind even if the process aborts
-  // between run() and teardown.
+  // Flush the captures now (destructors would too): a scenario that has run
+  // leaves complete files behind even if the process aborts between run()
+  // and teardown.
   for (auto& p : pcaps_) p->flush();
-  if (net_.profiler().enabled() && !spec_.profile.folded.empty()) {
-    net_.profiler().write_folded(spec_.profile.folded);
+  if (!spec_.profile.timeline.empty()) {
+    write_artifact("[profile] timeline", spec_.profile.timeline,
+                   events_document(net_).dump(2) + '\n');
+  }
+  if (!spec_.profile.folded.empty()) {
+    write_artifact("[profile] folded", spec_.profile.folded, net_.profiler().folded());
   }
   if (tracer_ && !spec_.tracing.artifact.empty()) {
     obs::CriticalPathAnalyzer cpa(*tracer_);
-    std::ofstream out(spec_.tracing.artifact, std::ios::binary);
-    if (out) {
-      out << cpa.artifact(static_cast<std::size_t>(spec_.tracing.top_k)).dump(2) << '\n';
-    }
+    write_artifact("[tracing] artifact", spec_.tracing.artifact,
+                   cpa.artifact(static_cast<std::size_t>(spec_.tracing.top_k)).dump(2) + '\n');
   }
   if (sampler_ && !spec_.telemetry.artifact.empty()) {
-    sampler_->write(spec_.telemetry.artifact, spec_.name);
+    write_artifact("[telemetry] artifact", spec_.telemetry.artifact,
+                   sampler_->artifact(spec_.name).dump(2) + '\n');
   }
   if (auditor_) {
     auditor_->finalize(spec_.duration);
     // Write the structured report before failing loudly, so a violated run
     // still leaves the evidence behind.
     if (!spec_.telemetry.audit_artifact.empty()) {
-      std::ofstream out(spec_.telemetry.audit_artifact, std::ios::binary);
-      if (out) out << auditor_->report_json().dump(2) << '\n';
+      write_artifact("[telemetry] audit_artifact", spec_.telemetry.audit_artifact,
+                     auditor_->report_json().dump(2) + '\n');
     }
     auditor_->throw_if_failed();
   }
@@ -647,52 +656,7 @@ obs::RunReport Scenario::report() {
     prof.set("sim_overhead_ns", static_cast<std::int64_t>(0));
     rep.extra("profile", std::move(prof));
   }
-  if (!spec_.profile.timeline.empty()) rep.extra("timelines", timelines_json());
   return rep;
-}
-
-obs::json::Value Scenario::timelines_json() {
-  obs::json::Value doc = obs::json::Value::object();
-  obs::json::Value tcp = obs::json::Value::array();
-  for (std::size_t i = 0; i < stacks_.size(); ++i) {
-    for (const auto& [id, conn] : stacks_[i]->tcp.connections()) {
-      if (conn->timeline().empty()) continue;
-      obs::json::Value c = obs::json::Value::object();
-      c.set("node", static_cast<std::int64_t>(i));
-      c.set("conn", static_cast<std::int64_t>(id));
-      obs::json::Value samples = obs::json::Value::array();
-      for (const proto::TcpTimelineSample& s : conn->timeline()) {
-        obs::json::Value e = obs::json::Value::object();
-        e.set("t_ns", s.t);
-        e.set("event", s.event);
-        e.set("cwnd", static_cast<std::int64_t>(s.cwnd));
-        e.set("ssthresh", static_cast<std::int64_t>(s.ssthresh));
-        e.set("srtt_ns", s.srtt);
-        e.set("rto_ns", s.rto);
-        e.set("snd_una", static_cast<std::int64_t>(s.snd_una));
-        e.set("snd_nxt", static_cast<std::int64_t>(s.snd_nxt));
-        e.set("rcv_nxt", static_cast<std::int64_t>(s.rcv_nxt));
-        samples.push(std::move(e));
-      }
-      c.set("samples", std::move(samples));
-      tcp.push(std::move(c));
-    }
-  }
-  doc.set("tcp", std::move(tcp));
-  obs::json::Value rmp = obs::json::Value::array();
-  for (std::size_t i = 0; i < stacks_.size(); ++i) {
-    for (const nproto::RmpEvent& ev : stacks_[i]->rmp.events()) {
-      obs::json::Value e = obs::json::Value::object();
-      e.set("node", static_cast<std::int64_t>(i));
-      e.set("t_ns", ev.t);
-      e.set("kind", ev.kind);
-      e.set("peer", ev.peer);
-      e.set("seq", static_cast<std::int64_t>(ev.seq));
-      rmp.push(std::move(e));
-    }
-  }
-  doc.set("rmp", std::move(rmp));
-  return doc;
 }
 
 }  // namespace nectar::scenario

@@ -45,10 +45,9 @@ struct CaptureSpec {
 };
 
 /// Flight-recorder switches: `folded` enables the cycle-attribution
-/// profiler and names its folded-stack output; `timeline` turns on TCP
-/// connection timelines + RMP event recording and names the JSON file they
-/// are written to at the end of run() (also embedded in the report's
-/// "timelines" section).
+/// profiler and names its folded-stack output; `timeline` names the file
+/// run() writes the merged event log to (net::Network::events(), a
+/// "nectar-events" document).
 struct ProfileSpec {
   std::string folded;
   std::string timeline;
@@ -72,10 +71,11 @@ struct TracingSpec {
 /// run_until, and pre-existing scenarios stay byte-identical. Enabled, the
 /// run is stepped `interval` at a time: every metric is sampled into a
 /// delta-encoded time series, conservation invariants are checked at each
-/// tick, and fault/failover windows are overlaid as marks. With shards == 1
-/// stepping is invisible to the event stream; with shards > 1 it caps the
-/// synchronization window at `interval`, so telemetry-on parallel runs are
-/// deterministic but comparable only with other telemetry-on runs.
+/// tick, and fault windows and event-log entries are overlaid as marks.
+/// With shards == 1 stepping is invisible to the event stream; with
+/// shards > 1 it caps the synchronization window at `interval`, so
+/// telemetry-on parallel runs are deterministic but comparable only with
+/// other telemetry-on runs.
 struct TelemetrySpec {
   bool enabled = false;
   sim::SimTime interval = sim::msec(10);  ///< sample cadence (sim time)
@@ -83,8 +83,9 @@ struct TelemetrySpec {
   bool audit = true;                      ///< run the conservation auditor
   std::string audit_artifact;             ///< audit JSON ("" = rows only)
   std::int64_t max_samples = 4096;        ///< ring capacity per series
-  /// Optional comma-separated series filter (substring match on
-  /// "component.name"); empty records everything not excluded by default.
+  /// Optional comma-separated filter: substring match on a series'
+  /// "component.name" and on a mark's kind; empty records everything not
+  /// excluded by default.
   std::vector<std::string> include;
 };
 
@@ -134,16 +135,18 @@ struct ScenarioSpec {
 
 class Scenario {
  public:
-  /// Builds the network, stacks, workloads and fault schedule. Ready to
-  /// run() immediately after construction.
+  /// Builds the network, stacks, workloads and fault schedule, and opens the
+  /// capture files (one that cannot be opened throws std::runtime_error).
+  /// Ready to run() immediately after construction.
   explicit Scenario(ScenarioSpec spec);
 
   Scenario(const Scenario&) = delete;
   Scenario& operator=(const Scenario&) = delete;
 
-  /// Run the simulation clock to spec().duration and close fault
-  /// attribution windows. Call once. With [telemetry] enabled the clock is
-  /// stepped one sample interval at a time, artifacts are written, and a
+  /// Run the simulation clock to spec().duration, close fault attribution
+  /// windows and write the artifacts; one that cannot be written throws
+  /// std::runtime_error naming its key and path. Call once. With [telemetry]
+  /// enabled the clock is stepped one sample interval at a time, and a
   /// conservation-invariant violation throws std::runtime_error (after the
   /// structured audit report has been written).
   void run();
@@ -176,8 +179,6 @@ class Scenario {
   const std::vector<std::unique_ptr<obs::PcapWriter>>& captures() const { return pcaps_; }
 
  private:
-  obs::json::Value timelines_json();
-
   ScenarioSpec spec_;
   net::Network net_;
   std::vector<std::unique_ptr<net::NodeStack>> stacks_;

@@ -425,9 +425,9 @@ void SessionManager::handle_open(int trunk, const FrameHeader& h) {
   if (t.inbound_live >= cfg_.max_channels) {
     queue_control(t, FrameHeader{h.channel, h.generation, FrameType::OpenNak,
                                  static_cast<std::uint16_t>(SessionReason::kAdmissionFull), 0, 0});
-    record_event("admission_refused", "trunk" + std::to_string(trunk) + " ch" +
-                                          std::to_string(h.channel) + ": max_channels=" +
-                                          std::to_string(cfg_.max_channels) + " reached");
+    rt_.log("session.admission_refused",
+            "trunk" + std::to_string(trunk) + " ch" + std::to_string(h.channel) +
+                ": max_channels=" + std::to_string(cfg_.max_channels) + " reached");
     wake_pumper(t);
     return;
   }
@@ -644,7 +644,7 @@ void SessionManager::fail_trunk(int trunk, const std::string& reason) {
   if (t.failed) return;
   t.failed = true;
   ++trunk_failures_;
-  record_event("trunk_failed", reason);
+  rt_.log("session.trunk_failed", reason);
   for (std::size_t id = 0; id < t.handle_of.size(); ++id) {
     ChannelHandle h = t.handle_of[id];
     if (h == kNoHandle) continue;
@@ -663,11 +663,6 @@ void SessionManager::fail_trunk(int trunk, const std::string& reason) {
   for (auto& q : t.ready) q.clear();
   t.control.clear();
   wake_pumper(t);
-}
-
-void SessionManager::record_event(const char* kind, std::string detail) {
-  if (events_.size() >= kEventCap) return;
-  events_.push_back(SessionEvent{rt_.engine().now(), kind, std::move(detail)});
 }
 
 }  // namespace nectar::session

@@ -85,14 +85,6 @@ enum class ChannelState : std::uint8_t {
   Refused,    ///< OPEN_NAK: peer admission control said no
 };
 
-/// Timestamped lifecycle event (trunk failures, admission pressure) — the
-/// scenario layer overlays these as telemetry marks.
-struct SessionEvent {
-  sim::SimTime t = 0;
-  std::string kind;    // "trunk_failed" | "admission_refused"
-  std::string detail;  // human-readable attribution
-};
-
 class SessionManager {
  public:
   using ChannelHandle = std::uint32_t;
@@ -181,7 +173,6 @@ class SessionManager {
   std::uint64_t trunk_tx_frames(int trunk) const;
   std::uint64_t trunk_tx_fast(int trunk) const;
 
-  const std::vector<SessionEvent>& events() const { return events_; }
   const SessionConfig& config() const { return cfg_; }
   core::CabRuntime& runtime() { return rt_; }
   int node() const { return node_; }
@@ -281,7 +272,6 @@ class SessionManager {
   void arm_watchdog(int trunk);
   void watchdog_tick(int trunk);
   void fail_trunk(int trunk, const std::string& reason);
-  void record_event(const char* kind, std::string detail);
   void release_wire_id(Trunk& t, std::uint16_t id);
 
   core::CabRuntime& rt_;
@@ -303,8 +293,6 @@ class SessionManager {
   std::uint64_t gen_mismatch_drops_ = 0;
   std::uint64_t proto_errors_ = 0;
   std::uint64_t trunk_failures_ = 0;
-  std::vector<SessionEvent> events_;
-  static constexpr std::size_t kEventCap = 1024;
 
   // Last member: probes read the trunks and counters above.
   obs::Registration metrics_reg_;

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "net/system.hpp"
 
 namespace nectar::core {
@@ -96,6 +99,60 @@ TEST(Runtime, TraceMarkWithoutRecorderIsSafe) {
   f.rt.fork_system("t", [&] { f.rt.trace_mark("nobody-listens"); });
   f.engine.run();
   SUCCEED();
+}
+
+TEST(Runtime, LogStopsAtItsCapAndCountsTheRest) {
+  Fixture f;
+  for (std::size_t i = 0; i < CabRuntime::kLogCap + 3; ++i) {
+    f.rt.log("test.event", std::to_string(i));
+  }
+  ASSERT_EQ(f.rt.log_entries().size(), CabRuntime::kLogCap);
+  EXPECT_EQ(f.rt.log_dropped(), 3u);
+  // The oldest entries are kept: the log records the start of a storm.
+  EXPECT_EQ(f.rt.log_entries().front().detail, "0");
+  EXPECT_EQ(f.rt.log_entries().back().detail, std::to_string(CabRuntime::kLogCap - 1));
+  EXPECT_EQ(f.rt.log_entries().back().node, 0);
+}
+
+TEST(Runtime, LogMarksTheTraceOnlyWhileTracing) {
+  sim::Engine engine;
+  obs::Tracer tracer(engine);
+  hw::CabBoard board(engine, "cab0", 0);
+  CabRuntime rt(board, nullptr, &tracer);
+  rt.log("test.quiet", "tracer off");
+  EXPECT_TRUE(tracer.events().empty());
+  tracer.set_enabled(true);
+  engine.run_until(sim::usec(7));
+  rt.log("test.loud", "tracer on");
+  ASSERT_EQ(tracer.events().size(), 1u);
+  const obs::Tracer::Event& e = tracer.events()[0];
+  EXPECT_EQ(e.type, obs::Tracer::EventType::Instant);
+  EXPECT_EQ(e.name, "test.loud");
+  EXPECT_EQ(e.track, tracer.track("node0", "cab.cpu"));
+  EXPECT_EQ(e.ts, sim::usec(7));
+  // Both entries are logged either way, stamped with the CAB's clock.
+  ASSERT_EQ(rt.log_entries().size(), 2u);
+  EXPECT_EQ(rt.log_entries()[0].t, 0);
+  EXPECT_EQ(rt.log_entries()[1].t, sim::usec(7));
+}
+
+TEST(Runtime, NetworkMergesLogsInTimeThenNodeOrder) {
+  net::Network net;
+  int hub = net.add_hub();
+  net.add_cab(hub, 0);
+  net.add_cab(hub, 1);
+  net.runtime(1).log("b", "node1 first");
+  net.runtime(0).log("a", "node0 second");
+  net.engine().run_until(sim::usec(5));
+  net.runtime(1).log("c", "late x");
+  net.runtime(0).log("c", "late y");
+  net.runtime(0).log("c", "late z");
+  std::vector<std::string> order;
+  for (const LogEntry& e : net.events()) order.push_back(e.detail);
+  // (t, node) order; one CAB's entries at one time keep insertion order.
+  EXPECT_EQ(order, (std::vector<std::string>{"node0 second", "node1 first", "late y", "late z",
+                                             "late x"}));
+  EXPECT_EQ(net.events_dropped(), 0u);
 }
 
 TEST(Runtime, HeapLivesInDataRegion) {

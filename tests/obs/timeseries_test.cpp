@@ -126,6 +126,26 @@ TEST(Sampler, IncludeFilterKeepsOnlyMatchingSeries) {
   EXPECT_EQ(s.series_count(), 2u);  // the two shard counters, nothing else
 }
 
+TEST(Sampler, IncludeFilterAppliesToMarkKinds) {
+  MetricsRegistry reg;
+  Sampler::Options o = opts();
+  o.include = {"sim.parallel", "route."};
+  Sampler s(reg, o);
+  s.mark(sim::msec(1), "rmp.retransmit", "node3 peer=1 seq=7");
+  s.mark(sim::msec(2), "route.failover", "node0 dst=1 path=1");
+  s.mark(sim::msec(3), "fault", "link_drop(node1.link)", sim::msec(4));
+  ASSERT_EQ(s.marks().size(), 1u);
+  EXPECT_EQ(s.marks()[0].kind, "route.failover");
+  // Exclusions filter mark kinds too.
+  Sampler::Options x = opts();
+  x.exclude.push_back("rmp.");
+  Sampler t(reg, x);
+  t.mark(sim::msec(1), "rmp.retransmit", "node3 peer=1 seq=7");
+  t.mark(sim::msec(3), "fault", "link_drop(node1.link)", sim::msec(4));
+  ASSERT_EQ(t.marks().size(), 1u);
+  EXPECT_EQ(t.marks()[0].kind, "fault");
+}
+
 TEST(Sampler, RejectsDecreasingTicksAndZeroCapacity) {
   MetricsRegistry reg;
   Sampler s(reg, opts());

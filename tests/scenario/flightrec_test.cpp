@@ -1,14 +1,18 @@
 // Flight-recorder wiring through the scenario engine: [capture] and
-// [profile] INI sections, artifact production from a config alone, profile
-// determinism, and the per-flow -> global latency aggregation the report
-// performs via LatencyHistogram::merge.
+// [profile] INI sections, artifact production from a config alone, loud
+// failure on an unwritable artifact path, profile determinism, and the
+// per-flow -> global latency aggregation the report performs via
+// LatencyHistogram::merge.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <functional>
+#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "obs/json.hpp"
@@ -102,7 +106,7 @@ file = x.pcap
 }
 
 /// A small mixed scenario with every recorder on: TCP (for connection
-/// timelines), RMP (for retransmit events under a lossy link), a pcap tap.
+/// transitions), RMP (for retransmit events under a lossy link), a pcap tap.
 ScenarioSpec recorded_spec(const std::string& pcap, const std::string& folded,
                            const std::string& timeline, std::uint64_t seed) {
   ScenarioSpec spec = ScenarioSpec::from_config(Config::parse_string(R"(
@@ -149,6 +153,7 @@ TEST(FlightRecorderTest, ScenarioProducesAllThreeArtifacts) {
   TempFile folded("flightrec.folded");
   TempFile timeline("flightrec_tl.json");
   Scenario sc(recorded_spec(pcap.path, folded.path, timeline.path, 5));
+  sc.net().tracer().set_enabled(true);
   sc.run();
 
   // pcap: the raw-IP global header, then records that tile the file
@@ -185,23 +190,99 @@ TEST(FlightRecorderTest, ScenarioProducesAllThreeArtifacts) {
   EXPECT_NE(prof.find("tcp/"), std::string::npos) << prof;
   EXPECT_NE(prof.find(";"), std::string::npos);
 
-  // timeline JSON: parses, has tcp samples (cwnd trajectory) and, with the
-  // lossy link, rmp retransmit events.
+  // timeline: the merged event log in time order. The lossy link forces TCP
+  // timeouts and RMP retransmits; the counts are pinned at seed 5.
   obs::json::Value tl = obs::json::Value::parse(slurp(timeline.path));
-  ASSERT_TRUE(tl.has("tcp"));
-  ASSERT_TRUE(tl.has("rmp"));
-  EXPECT_GT(tl.find("tcp")->items().size(), 0u);
-  const auto& first = tl.find("tcp")->items().front();
-  ASSERT_TRUE(first.has("samples"));
-  EXPECT_GT(first.find("samples")->items().size(), 0u);
-  EXPECT_TRUE(first.find("samples")->items().front().has("cwnd"));
+  EXPECT_EQ(tl.find("schema")->as_string(), "nectar-events");
+  EXPECT_EQ(tl.find("version")->as_int(), 1);
+  EXPECT_EQ(tl.find("dropped")->as_int(), 0);
+  std::map<std::string, int> kinds;
+  std::int64_t last_t = 0;
+  for (const obs::json::Value& e : tl.find("events")->items()) {
+    const std::int64_t t = e.find("t_ns")->as_int();
+    EXPECT_GE(t, last_t) << "events go back in time";
+    last_t = t;
+    EXPECT_GE(e.find("node")->as_int(), 0);
+    const std::string kind = e.find("kind")->as_string();
+    ++kinds[kind];
+    if (kind.rfind("tcp.", 0) == 0) {
+      EXPECT_EQ(e.find("detail")->as_string().rfind("conn=", 0), 0u);
+      EXPECT_NE(e.find("detail")->as_string().find(" cwnd="), std::string::npos);
+    }
+  }
+  EXPECT_EQ(kinds["tcp.established"], 8);
+  EXPECT_EQ(kinds["tcp.rto"], 18);
+  EXPECT_EQ(kinds["rmp.retransmit"], 13);
 
-  // ...and the report carries the profile summary + embedded timelines.
+  // With the tracer on, every logged event is an instant and each
+  // connection's congestion window is a counter track.
+  const obs::Tracer& tracer = sc.net().tracer();
+  ASSERT_NE(tracer.find("rmp.retransmit"), nullptr);
+  EXPECT_EQ(tracer.find("rmp.retransmit")->type, obs::Tracer::EventType::Instant);
+  int cwnd = 0;
+  for (const obs::Tracer::Event& e : tracer.events()) {
+    const bool is_cwnd = e.name.size() > 5 && e.name.compare(e.name.size() - 5, 5, ".cwnd") == 0;
+    if (e.type == obs::Tracer::EventType::Counter && is_cwnd) ++cwnd;
+  }
+  EXPECT_GT(cwnd, kinds["tcp.established"]) << "one cwnd counter per new ACK, not per transition";
+
+  // ...and the report carries the profile summary.
   obs::RunReport rep = sc.report();
   std::string json = rep.to_json_string();
   EXPECT_NE(json.find("\"profile\""), std::string::npos);
   EXPECT_NE(json.find("sim_overhead_ns"), std::string::npos);
-  EXPECT_NE(json.find("\"timelines\""), std::string::npos);
+}
+
+TEST(FlightRecorderTest, UnwritableArtifactThrowsNamingKeyAndPath) {
+  const std::string bad = "missing-artifact-dir/out";
+  // Each run points exactly one artifact key under a directory that does
+  // not exist.
+  const std::vector<std::pair<std::string, std::function<void(ScenarioSpec&)>>> keys = {
+      {"[capture] file", [&](ScenarioSpec& s) { s.captures.push_back({"node0.link", bad}); }},
+      {"[profile] folded", [&](ScenarioSpec& s) { s.profile.folded = bad; }},
+      {"[profile] timeline", [&](ScenarioSpec& s) { s.profile.timeline = bad; }},
+      {"[tracing] artifact",
+       [&](ScenarioSpec& s) {
+         s.tracing.enabled = true;
+         s.tracing.artifact = bad;
+       }},
+      {"[telemetry] artifact",
+       [&](ScenarioSpec& s) {
+         s.telemetry.enabled = true;
+         s.telemetry.artifact = bad;
+       }},
+      {"[telemetry] audit_artifact",
+       [&](ScenarioSpec& s) {
+         s.telemetry.enabled = true;
+         s.telemetry.audit_artifact = bad;
+       }},
+  };
+  for (const auto& [key, set] : keys) {
+    ScenarioSpec spec = ScenarioSpec::from_config(Config::parse_string(R"(
+[scenario]
+duration = 5ms
+
+[topology]
+kind = star
+nodes = 2
+
+[workload]
+proto = udp
+mode = open
+rate = 1000
+size = 64
+)"));
+    set(spec);
+    try {
+      Scenario sc(std::move(spec));
+      sc.run();
+      ADD_FAILURE() << key << ": an unwritable path did not throw";
+    } catch (const std::runtime_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(key), std::string::npos) << what;
+      EXPECT_NE(what.find(bad), std::string::npos) << what;
+    }
+  }
 }
 
 TEST(FlightRecorderTest, FoldedProfileIsDeterministic) {

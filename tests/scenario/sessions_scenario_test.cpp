@@ -161,10 +161,8 @@ at = 100ms
   EXPECT_GT(row(rep, "session.trunk_failures"), 0);
   EXPECT_GT(row(rep, "session.failed"), 0);
   bool saw = false;
-  for (int i = 0; i < sc.nodes(); ++i) {
-    for (const session::SessionEvent& e : sc.sessions()->manager(i).events()) {
-      saw = saw || e.kind == "trunk_failed";
-    }
+  for (const core::LogEntry& e : sc.net().events()) {
+    saw = saw || std::string(e.kind) == "session.trunk_failed";
   }
   EXPECT_TRUE(saw);
 }

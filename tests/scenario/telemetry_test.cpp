@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <vector>
 
 #include "obs/json.hpp"
 #include "scenario/engine.hpp"
@@ -174,12 +175,25 @@ TEST(ScenarioTelemetry, AuditorHoldsThroughAFaultBurst) {
 TEST(ScenarioTelemetry, FaultWindowsBecomeMarks) {
   Scenario sc(spec_with_telemetry(true));
   sc.run();
-  const auto& marks = sc.sampler()->marks();
-  ASSERT_EQ(marks.size(), 1u);
-  EXPECT_EQ(marks[0].kind, "fault");
-  EXPECT_NE(marks[0].label.find("link_drop"), std::string::npos);
-  EXPECT_GE(marks[0].t, sim::msec(60));  // applied_at includes derived jitter
-  EXPECT_GT(marks[0].end, marks[0].t);
+  std::vector<const obs::Sampler::Mark*> faults, retransmits;
+  for (const obs::Sampler::Mark& m : sc.sampler()->marks()) {
+    if (m.kind == "fault") faults.push_back(&m);
+    if (m.kind == "rmp.retransmit") retransmits.push_back(&m);
+  }
+  ASSERT_EQ(faults.size(), 1u);
+  const obs::Sampler::Mark& fault = *faults[0];
+  EXPECT_NE(fault.label.find("link_drop"), std::string::npos);
+  EXPECT_GE(fault.t, sim::msec(60));  // applied_at includes derived jitter
+  EXPECT_GT(fault.end, fault.t);
+  // The event log rides along: RMP retransmits only once the lossy window
+  // opens, and each mark names its node and the message it resent.
+  ASSERT_FALSE(retransmits.empty());
+  for (const obs::Sampler::Mark* m : retransmits) {
+    EXPECT_GE(m->t, fault.t);
+    EXPECT_LT(m->end, 0) << "an event-log mark is an instant";
+    EXPECT_EQ(m->label.rfind("node", 0), 0u) << m->label;
+    EXPECT_NE(m->label.find(" peer="), std::string::npos) << m->label;
+  }
 }
 
 /// Whether the run's sampler holds a mark of `kind` whose label contains
@@ -233,7 +247,7 @@ duration = 0
   Scenario sc(std::move(spec));
   sc.run();
   EXPECT_TRUE(has_mark(sc, "fault", "hub_blackout"));
-  EXPECT_TRUE(has_mark(sc, "failover"));
+  EXPECT_TRUE(has_mark(sc, "route.failover", " dst="));
 }
 
 TEST(ScenarioTelemetry, TrunkFailuresBecomeSessionMarks) {
@@ -267,7 +281,7 @@ at = 100ms
 )"));
   Scenario sc(std::move(spec));
   sc.run();
-  EXPECT_TRUE(has_mark(sc, "session", "trunk_failed"));
+  EXPECT_TRUE(has_mark(sc, "session.trunk_failed", "no acknowledgment progress"));
 }
 
 TEST(ScenarioTelemetry, ReportCarriesTelemetryRows) {

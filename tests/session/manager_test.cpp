@@ -248,7 +248,9 @@ TEST(SessionManagerTest, AdmissionControlRefusesLoudly) {
   EXPECT_EQ(p.a.state(hs[4]), ChannelState::Refused);
   // Refusal is attributable on the receiver: an admission event fired.
   bool saw = false;
-  for (const SessionEvent& e : p.b.events()) saw = saw || e.kind == "admission_refused";
+  for (const core::LogEntry& e : p.sys.runtime(1).log_entries()) {
+    saw = saw || std::string(e.kind) == "session.admission_refused";
+  }
   EXPECT_TRUE(saw);
   // try_send on a refused channel fails loudly, not silently.
   p.sys.runtime(0).fork_system("late", [&] {
@@ -360,7 +362,9 @@ TEST(SessionManagerTest, TrunkDeathFailsChannelsWithAttribution) {
   EXPECT_NE(reasons[0].find("node1"), std::string::npos) << reasons[0];
   EXPECT_NE(reasons[0].find("no acknowledgment progress"), std::string::npos) << reasons[0];
   bool saw = false;
-  for (const SessionEvent& e : p.a.events()) saw = saw || e.kind == "trunk_failed";
+  for (const core::LogEntry& e : p.sys.runtime(0).log_entries()) {
+    saw = saw || std::string(e.kind) == "session.trunk_failed";
+  }
   EXPECT_TRUE(saw);
   // Further opens and sends on the dead trunk fail immediately and loudly.
   bool post_checked = false;
