@@ -65,7 +65,9 @@ struct Point {
   double mean_us = 0.0, p50_us = 0.0, p99_us = 0.0;
 };
 
-scenario::ScenarioSpec spec_at(const std::string& mode, int nodes, int shards) {
+using Mode = scenario::CollectivesSpec::Mode;
+
+scenario::ScenarioSpec spec_at(Mode mode, int nodes, int shards) {
   scenario::ScenarioSpec spec =
       scenario::ScenarioSpec::from_config(scenario::Config::parse_string(kConfig));
   spec.topology.nodes = nodes;
@@ -74,8 +76,7 @@ scenario::ScenarioSpec spec_at(const std::string& mode, int nodes, int shards) {
   return spec;
 }
 
-Point run_point(const std::string& mode, int nodes, int shards,
-                const BenchOptions* profile_opts) {
+Point run_point(Mode mode, int nodes, int shards, const BenchOptions* profile_opts) {
   scenario::Scenario sc(spec_at(mode, nodes, shards));
   if (profile_opts != nullptr) start_profile(*profile_opts, sc.net().profiler());
   sc.run();
@@ -108,7 +109,7 @@ Point run_point(const std::string& mode, int nodes, int shards,
 /// tracer, so a single barrier's stage timeline (tx.coll -> hub/link hops ->
 /// rx.coll) is inspectable. Tracing is process-global state, hence shards=1.
 int run_trace(const BenchOptions& options) {
-  scenario::ScenarioSpec spec = spec_at("cab", 8, /*shards=*/1);
+  scenario::ScenarioSpec spec = spec_at(Mode::Cab, 8, /*shards=*/1);
   spec.collectives.iterations = 1;
   spec.tracing.enabled = true;
   spec.tracing.sample = 1.0;
@@ -164,8 +165,8 @@ int run(const BenchOptions& options) {
     // Profile the heaviest CAB run when asked; profiling charges no
     // simulated time, so the reported rows are unchanged.
     const BenchOptions* prof = nodes == 512 ? &options : nullptr;
-    Point cab = run_point("cab", nodes, /*shards=*/1, prof);
-    Point host = run_point("host", nodes, /*shards=*/1, nullptr);
+    Point cab = run_point(Mode::Cab, nodes, /*shards=*/1, prof);
+    Point host = run_point(Mode::Host, nodes, /*shards=*/1, nullptr);
     double ratio = host.mean_us / cab.mean_us;
     ratios.push_back(ratio);
     std::printf("%5d %6llu | %8.1fu %8.1fu %8.1fu | %8.1fu %8.1fu %8.1fu | %6.1fx\n", nodes,
@@ -219,8 +220,8 @@ int run(const BenchOptions& options) {
   // engine exactly — the cross-check bench_parallel applies to delivered
   // counts. Timestamps may differ by tie-break order at shard boundaries, so
   // the mean only has to agree within 1%.
-  Point seq = run_point("cab", 512, /*shards=*/1, nullptr);
-  Point par = run_point("cab", 512, /*shards=*/4, nullptr);
+  Point seq = run_point(Mode::Cab, 512, /*shards=*/1, nullptr);
+  Point par = run_point(Mode::Cab, 512, /*shards=*/4, nullptr);
   std::printf("\nparallel cross-check (512 nodes, cab, 4 shards): "
               "rounds %llu/%llu  mean %.1fus/%.1fus\n",
               static_cast<unsigned long long>(par.rounds),

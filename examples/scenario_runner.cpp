@@ -8,22 +8,23 @@
 //                   [--json <path>] [--trace <path>] [--profile <path>]
 //                   [--telemetry <path>] [--audit <path>]
 //
-// --seed, --duration and --shards override the [scenario]/[parallel]
-// sections, so one config file serves as a family of experiments (--shards
-// runs one config at several shard counts).
-// --trace and --profile match the bench binaries' flags: --trace writes a
-// Chrome trace-event timeline of the run (single-shard only), --profile
-// enables the cycle-attribution profiler and writes folded stacks
-// (equivalent to setting [profile] folded in the config). --telemetry
-// enables [telemetry] (continuous sampling + the conservation auditor) and
-// writes the time-series artifact; --audit names the audit report file. An
+// Six flags set INI keys on the parsed file before it is bound, so the key's
+// row parses and checks a flag's value exactly as it would the file's (a
+// malformed one exits 1, naming the key): --seed N and --duration D set
+// [scenario] seed and duration, --shards N sets [parallel] shards (one
+// config at several shard counts), --profile sets [profile] folded (the
+// cycle-attribution profiler's folded stacks), --telemetry sets [telemetry]
+// enabled and artifact (continuous sampling + the conservation auditor),
+// and --audit sets [telemetry] enabled, audit and audit_artifact. An
 // invariant violation exits 1 after the audit report is written.
+// --trace matches the bench binaries' flag: it writes a Chrome trace-event
+// timeline of the run (single-shard only).
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <exception>
 #include <string>
+#include <vector>
 
 #include "scenario/engine.hpp"
 
@@ -45,31 +46,34 @@ int main(int argc, char** argv) {
 
   std::string config_path;
   std::string json_path;
-  std::string seed_override;
-  std::string duration_override;
-  std::string shards_override;
   std::string trace_path;
-  std::string profile_path;
-  std::string telemetry_path;
-  std::string audit_path;
+  struct Override {
+    const char* section;
+    const char* key;
+    std::string value;
+  };
+  std::vector<Override> overrides;
   for (int i = 1; i < argc; ++i) {
     std::string a = argv[i];
     if (a == "--json" && i + 1 < argc) {
       json_path = argv[++i];
     } else if (a == "--telemetry" && i + 1 < argc) {
-      telemetry_path = argv[++i];
+      overrides.push_back({"telemetry", "enabled", "yes"});
+      overrides.push_back({"telemetry", "artifact", argv[++i]});
     } else if (a == "--audit" && i + 1 < argc) {
-      audit_path = argv[++i];
+      overrides.push_back({"telemetry", "enabled", "yes"});
+      overrides.push_back({"telemetry", "audit", "yes"});
+      overrides.push_back({"telemetry", "audit_artifact", argv[++i]});
     } else if (a == "--seed" && i + 1 < argc) {
-      seed_override = argv[++i];
+      overrides.push_back({"scenario", "seed", argv[++i]});
     } else if (a == "--duration" && i + 1 < argc) {
-      duration_override = argv[++i];
+      overrides.push_back({"scenario", "duration", argv[++i]});
     } else if (a == "--shards" && i + 1 < argc) {
-      shards_override = argv[++i];
+      overrides.push_back({"parallel", "shards", argv[++i]});
     } else if (a == "--trace" && i + 1 < argc) {
       trace_path = argv[++i];
     } else if (a == "--profile" && i + 1 < argc) {
-      profile_path = argv[++i];
+      overrides.push_back({"profile", "folded", argv[++i]});
     } else if (!a.empty() && a[0] != '-' && config_path.empty()) {
       config_path = a;
     } else {
@@ -80,30 +84,8 @@ int main(int argc, char** argv) {
 
   try {
     scenario::Config cfg = scenario::Config::parse_file(config_path);
+    for (Override& o : overrides) cfg.set(o.section, o.key, std::move(o.value));
     scenario::ScenarioSpec spec = scenario::ScenarioSpec::from_config(cfg);
-    if (!seed_override.empty()) {
-      spec.seed = std::strtoull(seed_override.c_str(), nullptr, 10);
-    }
-    if (!duration_override.empty()) {
-      spec.duration = scenario::parse_time(duration_override);
-    }
-    if (!shards_override.empty()) {
-      spec.parallel.shards = std::atoi(shards_override.c_str());
-      if (spec.parallel.shards < 1) {
-        std::fprintf(stderr, "error: --shards wants an integer >= 1\n");
-        return 2;
-      }
-    }
-    if (!profile_path.empty()) spec.profile.folded = profile_path;
-    if (!telemetry_path.empty()) {
-      spec.telemetry.enabled = true;
-      spec.telemetry.artifact = telemetry_path;
-    }
-    if (!audit_path.empty()) {
-      spec.telemetry.enabled = true;
-      spec.telemetry.audit = true;
-      spec.telemetry.audit_artifact = audit_path;
-    }
     if (!trace_path.empty() && spec.parallel.shards > 1) {
       std::fprintf(stderr, "error: --trace needs a single-shard run (the Chrome-trace "
                            "tracer records into one shared event list)\n");
@@ -144,7 +126,8 @@ int main(int argc, char** argv) {
 
     for (std::size_t i = 0; i < sc.spec().captures.size(); ++i) {
       const auto& c = sc.spec().captures[i];
-      std::printf("capture %s (%s): %llu packet(s) -> %s\n", c.element.c_str(), c.format.c_str(),
+      std::printf("capture %s (%s): %llu packet(s) -> %s\n", c.element.c_str(),
+                  scenario::name_of(scenario::kCaptureFormats, c.format),
                   static_cast<unsigned long long>(sc.captures()[i]->packets_written()),
                   c.file.c_str());
     }

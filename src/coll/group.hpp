@@ -8,7 +8,6 @@
 // epoch can never corrupt its successor.
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "coll/wire.hpp"
@@ -22,8 +21,6 @@ enum class Algorithm : std::uint8_t {
   Tree,           ///< fanout-ary arrive/release tree rooted at root_rank
   Dissemination,  ///< butterfly: ceil(log2 n) rounds of pairwise notifications
 };
-Algorithm parse_algorithm(const std::string& name);  // "tree" | "dissemination"
-const char* algorithm_name(Algorithm a);
 
 struct GroupSpec {
   std::uint16_t id = 0;

@@ -30,22 +30,6 @@ std::uint64_t combine(ReduceOp op, std::uint64_t a, std::uint64_t b) {
   throw std::logic_error("coll: unknown reduce op");
 }
 
-const char* reduce_op_name(ReduceOp op) {
-  switch (op) {
-    case ReduceOp::Sum: return "sum";
-    case ReduceOp::Min: return "min";
-    case ReduceOp::Max: return "max";
-  }
-  return "?";
-}
-
-ReduceOp parse_reduce_op(const std::string& name) {
-  if (name == "sum") return ReduceOp::Sum;
-  if (name == "min") return ReduceOp::Min;
-  if (name == "max") return ReduceOp::Max;
-  throw std::invalid_argument("coll: unknown reduce op '" + name + "' (sum|min|max)");
-}
-
 void CollHeader::serialize(std::span<std::uint8_t> out) const {
   proto::put16(out, 0, group);
   proto::put16(out, 2, epoch);

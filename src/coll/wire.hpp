@@ -10,7 +10,6 @@
 
 #include <cstdint>
 #include <span>
-#include <string>
 
 namespace nectar::coll {
 
@@ -31,8 +30,6 @@ const char* kind_name(MsgKind k);
 /// operands, combined at interior tree nodes as partials flow rootward).
 enum class ReduceOp : std::uint8_t { Sum = 0, Min = 1, Max = 2 };
 std::uint64_t combine(ReduceOp op, std::uint64_t a, std::uint64_t b);
-const char* reduce_op_name(ReduceOp op);
-ReduceOp parse_reduce_op(const std::string& name);  // "sum" | "min" | "max"
 
 /// The collective header: 24 bytes on the wire, network byte order.
 struct CollHeader {

@@ -6,34 +6,15 @@
 
 namespace nectar::scenario {
 
-void CollectivesSpec::validate() const {
-  if (mode != "cab" && mode != "host") {
-    throw std::invalid_argument("collectives: unknown mode '" + mode + "' (want cab | host)");
-  }
-  if (op != "barrier" && op != "bcast" && op != "reduce") {
-    throw std::invalid_argument("collectives: unknown op '" + op +
-                                "' (want barrier | bcast | reduce)");
-  }
-  coll::parse_algorithm(algorithm);  // reject typos at parse time
-  coll::parse_reduce_op(reduce);
-  if (iterations < 0) throw std::invalid_argument("collectives: iterations must be >= 0");
-  if (timeout <= 0) throw std::invalid_argument("collectives: timeout must be > 0");
-  if (retransmit <= 0) throw std::invalid_argument("collectives: retransmit must be > 0");
-}
-
 CollectiveDriver::CollectiveDriver(net::Network& net, std::vector<net::NodeStack*> stacks,
                                    const CollectivesSpec& spec)
     : net_(net), stacks_(std::move(stacks)), spec_(spec) {
-  spec_.validate();
-  op_ = spec_.op == "barrier" ? Op::Barrier : spec_.op == "bcast" ? Op::Bcast : Op::Reduce;
-  rop_ = coll::parse_reduce_op(spec_.reduce);
-
   const int n = net_.cab_count();
   iters_done_.assign(static_cast<std::size_t>(n), 0);
   data_errors_.assign(static_cast<std::size_t>(n), 0);
   const coll::GroupSpec gspec = make_group_spec();
 
-  if (spec_.mode == "cab") {
+  if (spec_.mode == CollectivesSpec::Mode::Cab) {
     cab_.resize(static_cast<std::size_t>(n));
     for (int i = 0; i < n; ++i) {
       CabNode& cn = cab_[static_cast<std::size_t>(i)];
@@ -86,11 +67,11 @@ coll::GroupSpec CollectiveDriver::make_group_spec() const {
   g.members.resize(static_cast<std::size_t>(net_.cab_count()));
   std::iota(g.members.begin(), g.members.end(), 0);
   g.root_rank = 0;
-  g.algorithm = coll::parse_algorithm(spec_.algorithm);
+  g.algorithm = spec_.algorithm;
   g.timeout = spec_.timeout;
   g.retransmit = spec_.retransmit;
   // The CAB engine hands the HUB a distribution tree for its releases.
-  if (spec_.mode == "cab" && g.members.size() > 1) {
+  if (spec_.mode == CollectivesSpec::Mode::Cab && g.members.size() > 1) {
     g.mcast = net_.mcast_ref(g.members[static_cast<std::size_t>(g.root_rank)], g.members);
   }
   return g;
@@ -108,7 +89,7 @@ std::uint64_t CollectiveDriver::contribution_of(int rank, std::int64_t iter) con
 std::uint64_t CollectiveDriver::expected_reduce(std::int64_t iter) const {
   std::uint64_t acc = contribution_of(0, iter);
   for (int r = 1; r < net_.cab_count(); ++r) {
-    acc = coll::combine(rop_, acc, contribution_of(r, iter));
+    acc = coll::combine(spec_.reduce, acc, contribution_of(r, iter));
   }
   return acc;
 }
@@ -117,7 +98,7 @@ bool CollectiveDriver::run_one(int node, std::int64_t iter, std::vector<std::uin
   const int rank = node;  // members are 0..n-1 in node order
   const std::size_t slot = static_cast<std::size_t>(node);
   bool ok = true;
-  switch (op_) {
+  switch (spec_.op) {
     case Op::Barrier:
       ok = cab_.empty() ? host_[slot].nin->coll_barrier(kGroupId)
                         : cab_[slot].nin->coll_barrier(kGroupId);
@@ -143,8 +124,8 @@ bool CollectiveDriver::run_one(int node, std::int64_t iter, std::vector<std::uin
     case Op::Reduce: {
       std::uint64_t result = 0;
       std::uint64_t mine = contribution_of(rank, iter);
-      ok = cab_.empty() ? host_[slot].nin->coll_reduce(kGroupId, rop_, mine, &result)
-                        : cab_[slot].nin->coll_reduce(kGroupId, rop_, mine, &result);
+      ok = cab_.empty() ? host_[slot].nin->coll_reduce(kGroupId, spec_.reduce, mine, &result)
+                        : cab_[slot].nin->coll_reduce(kGroupId, spec_.reduce, mine, &result);
       if (ok && result != expected_reduce(iter)) ++data_errors_[slot];
       break;
     }
@@ -153,7 +134,7 @@ bool CollectiveDriver::run_one(int node, std::int64_t iter, std::vector<std::uin
 }
 
 void CollectiveDriver::worker_loop(int node) {
-  std::vector<std::uint8_t> buf(op_ == Op::Bcast ? 64 : 0);  // bcast payload bytes
+  std::vector<std::uint8_t> buf(spec_.op == Op::Bcast ? 64 : 0);  // bcast payload bytes
   core::Cpu& cpu = cab_.empty() ? host_[static_cast<std::size_t>(node)].host->cpu()
                                 : net_.runtime(node).cpu();
   for (std::int64_t it = 0; spec_.iterations == 0 || it < spec_.iterations; ++it) {
@@ -188,18 +169,18 @@ void CollectiveDriver::report_into(obs::RunReport& rep) {
     failed += e.ops_failed();
     retx += e.retransmits();
     stale += e.stale_drops();
-    lat.merge(op_ == Op::Barrier  ? e.barrier_latency()
-              : op_ == Op::Bcast  ? e.bcast_latency()
-                                  : e.reduce_latency());
+    lat.merge(spec_.op == Op::Barrier ? e.barrier_latency()
+              : spec_.op == Op::Bcast ? e.bcast_latency()
+                                      : e.reduce_latency());
   }
   for (std::size_t i = 0; i < host_.size(); ++i) {
     coll::HostCollective& h = *host_[i].hc;
     sent += h.msgs_sent();
     received += h.msgs_received();
     completed += h.ops_completed();
-    lat.merge(op_ == Op::Barrier  ? h.barrier_latency()
-              : op_ == Op::Bcast  ? h.bcast_latency()
-                                  : h.reduce_latency());
+    lat.merge(spec_.op == Op::Barrier ? h.barrier_latency()
+              : spec_.op == Op::Bcast ? h.bcast_latency()
+                                      : h.reduce_latency());
   }
   rep.add("coll.rounds", static_cast<double>(rounds_completed()), "count");
   rep.add("coll.ops_completed", static_cast<double>(completed), "count");

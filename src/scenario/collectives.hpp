@@ -16,7 +16,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "coll/engine.hpp"
@@ -27,22 +26,45 @@
 #include "nectarine/nectarine.hpp"
 #include "net/system.hpp"
 #include "obs/report.hpp"
+#include "scenario/config.hpp"
 
 namespace nectar::scenario {
 
 struct CollectivesSpec {
+  enum class Mode { Cab, Host };
+  enum class Op { Barrier, Bcast, Reduce };
+
   bool enabled = false;
-  std::string mode = "cab";        ///< "cab" (engine) | "host" (baseline; needs with_vme)
-  std::string op = "barrier";      ///< "barrier" | "bcast" | "reduce"
-  std::string algorithm = "tree";  ///< "tree" | "dissemination" (barrier only)
-  std::string reduce = "sum";      ///< "sum" | "min" | "max"
-  std::int64_t iterations = 0;     ///< ops per node; 0 = loop until the run ends
-  sim::SimTime interval = 0;       ///< pause between consecutive ops
+  Mode mode = Mode::Cab;  ///< Cab: the engine; Host: the baseline (needs with_vme)
+  Op op = Op::Barrier;
+  coll::Algorithm algorithm = coll::Algorithm::Tree;  ///< barrier only
+  coll::ReduceOp reduce = coll::ReduceOp::Sum;
+  std::int64_t iterations = 0;  ///< ops per node; 0 = loop until the run ends
+  sim::SimTime interval = 0;    ///< pause between consecutive ops
   sim::SimTime timeout = sim::msec(50);
   sim::SimTime retransmit = sim::msec(2);
+};
 
-  /// Reject typos and bad combinations at parse time.
-  void validate() const;
+inline constexpr Named<CollectivesSpec::Mode> kCollModes[] = {
+    {CollectivesSpec::Mode::Cab, "cab"},
+    {CollectivesSpec::Mode::Host, "host"},
+};
+
+inline constexpr Named<CollectivesSpec::Op> kCollOps[] = {
+    {CollectivesSpec::Op::Barrier, "barrier"},
+    {CollectivesSpec::Op::Bcast, "bcast"},
+    {CollectivesSpec::Op::Reduce, "reduce"},
+};
+
+inline constexpr Named<coll::Algorithm> kCollAlgorithms[] = {
+    {coll::Algorithm::Tree, "tree"},
+    {coll::Algorithm::Dissemination, "dissemination"},
+};
+
+inline constexpr Named<coll::ReduceOp> kReduceOps[] = {
+    {coll::ReduceOp::Sum, "sum"},
+    {coll::ReduceOp::Min, "min"},
+    {coll::ReduceOp::Max, "max"},
 };
 
 /// Builds the per-node collective stacks and forks one worker per node.
@@ -75,7 +97,7 @@ class CollectiveDriver {
   void report_into(obs::RunReport& rep);
 
  private:
-  enum class Op : std::uint8_t { Barrier, Bcast, Reduce };
+  using Op = CollectivesSpec::Op;
 
   struct CabNode {
     std::unique_ptr<coll::CollectiveEngine> engine;
@@ -101,8 +123,6 @@ class CollectiveDriver {
   net::Network& net_;
   std::vector<net::NodeStack*> stacks_;
   CollectivesSpec spec_;
-  Op op_ = Op::Barrier;
-  coll::ReduceOp rop_ = coll::ReduceOp::Sum;
 
   std::vector<CabNode> cab_;
   std::vector<HostNode> host_;

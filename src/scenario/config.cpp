@@ -29,8 +29,12 @@ std::string Section::get(const std::string& key, const std::string& fallback) co
 }
 
 void Section::bad_value(const std::string& key, const std::string& want) const {
-  throw std::runtime_error("config: [" + name + "] key '" + key + "': expected " + want +
-                           ", got '" + get(key) + "'");
+  throw std::runtime_error(value_error(name, key, want, get(key)));
+}
+
+std::string value_error(const std::string& section, const std::string& key,
+                        const std::string& want, const std::string& got) {
+  return "config: [" + section + "] key '" + key + "': expected " + want + ", got '" + got + "'";
 }
 
 std::int64_t Section::get_int(const std::string& key, std::int64_t fallback) const {
@@ -152,19 +156,14 @@ Config Config::parse_file(const std::string& path) {
   return parse_string(buf.str());
 }
 
-const Section* Config::find(std::string_view name) const {
-  for (const Section& s : sections_) {
-    if (s.name == name) return &s;
+void Config::set(std::string_view section, const std::string& key, std::string value) {
+  for (Section& s : sections_) {
+    if (s.name == section) {
+      s.values[key] = std::move(value);
+      return;
+    }
   }
-  return nullptr;
-}
-
-std::vector<const Section*> Config::all(std::string_view name) const {
-  std::vector<const Section*> out;
-  for (const Section& s : sections_) {
-    if (s.name == name) out.push_back(&s);
-  }
-  return out;
+  sections_.push_back(Section{std::string(section), {{key, std::move(value)}}});
 }
 
 }  // namespace nectar::scenario

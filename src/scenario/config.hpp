@@ -34,24 +34,13 @@
 namespace nectar::scenario {
 
 /// One enum value's spelling in a config file. An enum's array of these is
-/// its only name list: parsing, printing and the error text all read it.
+/// its only name list: the key row that parses it, printing and the error
+/// text all read it.
 template <class E>
 struct Named {
   E value;
   const char* name;
 };
-
-/// The value `text` names in `table`; otherwise throws std::invalid_argument
-/// "<what> '<text>' (want a | b | c)".
-template <class E, std::size_t N>
-E parse_name(const Named<E> (&table)[N], const std::string& text, const std::string& what) {
-  std::string want;
-  for (const Named<E>& n : table) {
-    if (text == n.name) return n.value;
-    want += (want.empty() ? "" : " | ") + std::string(n.name);
-  }
-  throw std::invalid_argument(what + " '" + text + "' (want " + want + ")");
-}
 
 template <class E, std::size_t N>
 const char* name_of(const Named<E> (&table)[N], E value) {
@@ -76,10 +65,15 @@ struct Section {
   /// Duration with unit suffix: "250ns", "10us", "5ms", "2s" (bare numbers
   /// are nanoseconds).
   sim::SimTime get_time(const std::string& key, sim::SimTime fallback) const;
-  /// Throws std::runtime_error "config: [<name>] key '<key>': expected
-  /// <want>, got '<value>'".
+  /// Throws std::runtime_error with value_error's text for `key`'s value.
   [[noreturn]] void bad_value(const std::string& key, const std::string& want) const;
 };
+
+/// "config: [<section>] key '<key>': expected <want>, got '<got>'": the one
+/// shape of every rejected scenario value, whether it came from an INI file,
+/// a scenario_runner flag or a spec built in code.
+std::string value_error(const std::string& section, const std::string& key,
+                        const std::string& want, const std::string& got);
 
 /// Parse a duration literal ("500ms"); throws on malformed input and on a
 /// value that is negative, not finite, or not below 2^63 ns.
@@ -92,11 +86,11 @@ class Config {
   /// Throws std::runtime_error when the file cannot be read.
   static Config parse_file(const std::string& path);
 
+  /// Every section in file order; a repeated header gives one per copy.
   const std::vector<Section>& sections() const { return sections_; }
-  /// First section with `name`; nullptr if absent.
-  const Section* find(std::string_view name) const;
-  /// All sections with `name`, in file order (repeated-section idiom).
-  std::vector<const Section*> all(std::string_view name) const;
+  /// Set `key` in the first [`section`], appending the section when the
+  /// file has none; a value the file gave is replaced.
+  void set(std::string_view section, const std::string& key, std::string value);
 
  private:
   std::vector<Section> sections_;

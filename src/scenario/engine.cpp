@@ -1,6 +1,7 @@
 #include "scenario/engine.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <fstream>
 #include <functional>
 #include <limits>
@@ -35,10 +36,28 @@ struct Time {
   sim::SimTime Spec::*member;
 };
 
-/// One INI key and the spec member it sets.
+/// The values a numeric row accepts, [lo, hi]; a row without one accepts
+/// whatever its member holds. A double holds every bound the tables use
+/// exactly, so one type serves integer, floating and duration rows.
+struct Range {
+  double lo = -std::numeric_limits<double>::infinity();
+  double hi = std::numeric_limits<double>::infinity();
+};
+
+/// `v` as an error message shows it ("1", "0.25").
+template <class T>
+std::string text_of(T v) {
+  std::ostringstream out;
+  out << v;
+  return out.str();
+}
+
+/// One INI key: how its text sets the spec member and, for a bounded key,
+/// the check the member must pass once its section is bound.
 template <class Spec>
 struct Key {
   using Setter = std::function<void(const Section&, const char* key, Spec&)>;
+  using Check = std::function<void(const char* section, const char* key, const Spec&)>;
 
   /// A string, bool, floating-point or integer member.
   template <class T>
@@ -56,33 +75,95 @@ struct Key {
             v = get_fitting(s, k, v);
           }
         }) {}
+  template <class T>
+  Key(const char* n, T Spec::*m, Range r) : Key(n, m) {
+    check = bounded(m, r, std::is_integral_v<T> ? "an integer" : "a number", "");
+  }
+  /// A string member that may not be left empty.
+  Key(const char* n, std::string Spec::*m, bool required) : Key(n, m) {
+    if (!required) return;
+    check = [m](const char* section, const char* k, const Spec& spec) {
+      if ((spec.*m).empty()) throw std::runtime_error(value_error(section, k, "a value", ""));
+    };
+  }
   Key(const char* n, Time<Spec> t)
       : name(n), set([m = t.member](const Section& s, const char* k, Spec& spec) {
           spec.*m = s.get_time(k, spec.*m);
         }) {}
+  Key(const char* n, Time<Spec> t, Range r) : Key(n, t) {
+    check = bounded(t.member, r, "a duration", "ns");
+  }
   /// An enum member, spelled as in `names`. A required key has no default:
   /// leaving it out fails like a misspelled name.
   template <class E, std::size_t N>
   Key(const char* n, E Spec::*m, const Named<E> (&names)[N], bool required = false)
       : name(n), set([m, &names, required](const Section& s, const char* k, Spec& spec) {
           if (!required && !s.has(k)) return;
-          spec.*m = parse_name(names, s.get(k), s.name + ": unknown " + k);
+          std::string want;
+          for (const Named<E>& named : names) {
+            if (s.get(k) == named.name) {
+              spec.*m = named.value;
+              return;
+            }
+            want += (want.empty() ? "" : " | ") + std::string(named.name);
+          }
+          throw std::invalid_argument(value_error(s.name, k, want, s.get(k)));
         }) {}
   Key(const char* n, Setter f) : name(n), set(std::move(f)) {}
 
   const char* name;
   Setter set;
+  Check check;  ///< empty: any value the member holds passes
+
+ private:
+  template <class T>
+  static Check bounded(T Spec::*m, Range r, const char* noun, const char* unit) {
+    return [m, r, noun, unit](const char* section, const char* k, const Spec& spec) {
+      const T v = spec.*m;
+      if (r.lo <= v && v <= r.hi) return;  // false for nan too
+      const std::string lo = text_of(r.lo) + unit, hi = text_of(r.hi) + unit;
+      const std::string want = std::isinf(r.hi)   ? noun + (" >= " + lo)
+                               : std::isinf(r.lo) ? noun + (" <= " + hi)
+                                                  : noun + (" in [" + lo + ", " + hi + "]");
+      throw std::runtime_error(value_error(section, k, want, text_of(v) + unit));
+    };
+  }
 };
 
-/// A section's whole vocabulary, one row per key.
+/// A bound on `key` that involves another key of the same section.
+template <class Spec>
+struct Rule {
+  const char* key;
+  std::int64_t Spec::*member;  ///< `key`'s member, shown in the error
+  std::string want;
+  bool (*holds)(const Spec&);
+};
+
+/// A section's whole vocabulary, one row per key, plus its cross-key rules.
 template <class Spec>
 struct Table {
   const char* section;
   std::vector<Key<Spec>> keys;
+  std::vector<Rule<Spec>> rules = {};
 };
 
-/// Set every member whose key `s` has (absent keys keep the spec's default)
-/// and reject any key the table does not name.
+/// Throw value_error's text for the first value of `spec` that its row's
+/// bound or one of the table's rules rejects.
+template <class Spec>
+void check(const Table<Spec>& table, const Spec& spec) {
+  for (const Key<Spec>& k : table.keys) {
+    if (k.check) k.check(table.section, k.name, spec);
+  }
+  for (const Rule<Spec>& r : table.rules) {
+    if (!r.holds(spec)) {
+      throw std::runtime_error(
+          value_error(table.section, r.key, r.want, std::to_string(spec.*r.member)));
+    }
+  }
+}
+
+/// Set every member whose key `s` has (absent keys keep the spec's default),
+/// reject any key the table does not name, then check the result.
 template <class Spec>
 void bind(const Section& s, const Table<Spec>& table, Spec& spec) {
   for (const auto& [key, value] : s.values) {
@@ -92,11 +173,7 @@ void bind(const Section& s, const Table<Spec>& table, Spec& spec) {
     }
   }
   for (const Key<Spec>& k : table.keys) k.set(s, k.name, spec);
-}
-
-template <class Spec>
-void bind_first(const Config& cfg, const Table<Spec>& table, Spec& spec) {
-  if (const Section* s = cfg.find(table.section)) bind(*s, table, spec);
+  check(table, spec);
 }
 
 const Table<ScenarioSpec> kScenarioKeys{"scenario", {
@@ -112,13 +189,13 @@ const Table<TopologySpec> kTopologyKeys{"topology", {
     {"hub_ports", &TopologySpec::hub_ports},
     {"spines", &TopologySpec::spines},
     {"with_vme", &TopologySpec::with_vme},
-    {"trunk_propagation", Time{&TopologySpec::trunk_propagation}},
+    {"trunk_propagation", Time{&TopologySpec::trunk_propagation}, {.lo = 1}},
     {"route_spread", &TopologySpec::route_spread},
 }};
 
 const Table<ParallelSpec> kParallelKeys{"parallel", {
-    {"shards", &ParallelSpec::shards},
-    {"partition", &ParallelSpec::partition},
+    {"shards", &ParallelSpec::shards, {.lo = 1}},
+    {"partition", &ParallelSpec::partition, kPartitions},
 }};
 
 const Table<WorkloadSpec> kWorkloadKeys{"workload", {
@@ -149,43 +226,53 @@ const Table<route::RoutingConfig> kRoutingKeys{"routing", {
 
 const Table<CollectivesSpec> kCollectivesKeys{"collectives", {
     {"enabled", &CollectivesSpec::enabled},
-    {"mode", &CollectivesSpec::mode},
-    {"op", &CollectivesSpec::op},
-    {"algorithm", &CollectivesSpec::algorithm},
-    {"reduce", &CollectivesSpec::reduce},
-    {"iterations", &CollectivesSpec::iterations},
+    {"mode", &CollectivesSpec::mode, kCollModes},
+    {"op", &CollectivesSpec::op, kCollOps},
+    {"algorithm", &CollectivesSpec::algorithm, kCollAlgorithms},
+    {"reduce", &CollectivesSpec::reduce, kReduceOps},
+    {"iterations", &CollectivesSpec::iterations, {.lo = 0}},
     {"interval", Time{&CollectivesSpec::interval}},
-    {"timeout", Time{&CollectivesSpec::timeout}},
-    {"retransmit", Time{&CollectivesSpec::retransmit}},
+    {"timeout", Time{&CollectivesSpec::timeout}, {.lo = 1}},
+    {"retransmit", Time{&CollectivesSpec::retransmit}, {.lo = 1}},
 }};
 
 const Table<SessionsSpec> kSessionsKeys{"sessions", {
     {"enabled", &SessionsSpec::enabled},
-    {"trunks", &SessionsSpec::trunks},
-    {"channels", &SessionsSpec::channels},
-    {"stride", &SessionsSpec::stride},
-    {"rate", &SessionsSpec::rate},
-    {"size", &SessionsSpec::size},
+    {"trunks", &SessionsSpec::trunks, {.lo = 1}},
+    {"channels", &SessionsSpec::channels, {.lo = 1}},
+    {"stride", &SessionsSpec::stride, {.lo = 1}},
+    {"rate", &SessionsSpec::rate, {.lo = 0.0}},
+    // At least the 16-byte measurement stamp; at most a 16-bit frame length.
+    {"size", &SessionsSpec::size, {.lo = 16, .hi = 60000}},
     {"warmup", Time{&SessionsSpec::warmup}},
-    {"initial_credit", &SessionsSpec::initial_credit},
-    {"send_window", &SessionsSpec::send_window},
+    {"initial_credit", &SessionsSpec::initial_credit, {.lo = 1}},
+    {"send_window", &SessionsSpec::send_window, {.lo = 1}},
     {"max_batch", &SessionsSpec::max_batch},
-    {"max_channels", &SessionsSpec::max_channels},
-    {"aggregation", Time{&SessionsSpec::aggregation}},
-    {"fail_timeout", Time{&SessionsSpec::fail_timeout}},
-    {"churn_rate", &SessionsSpec::churn_rate},
+    {"max_channels", &SessionsSpec::max_channels, {.lo = 1}},
+    {"aggregation", Time{&SessionsSpec::aggregation}, {.lo = 0}},
+    {"fail_timeout", Time{&SessionsSpec::fail_timeout}, {.lo = 1}},
+    {"churn_rate", &SessionsSpec::churn_rate, {.lo = 0.0}},
     {"churn_start", Time{&SessionsSpec::churn_start}},
     {"churn_duration", Time{&SessionsSpec::churn_duration}},
     {"stall_at", Time{&SessionsSpec::stall_at}},
     {"stall_duration", Time{&SessionsSpec::stall_duration}},
-    {"stall_channels", &SessionsSpec::stall_channels},
-    {"probe_channels", &SessionsSpec::probe_channels},
+    {"stall_channels", &SessionsSpec::stall_channels, {.lo = 0}},
+    {"probe_channels", &SessionsSpec::probe_channels, {.lo = 0}},
+}, {
+    {"size", &SessionsSpec::size,
+     "an integer <= max_batch - " + std::to_string(session::FrameHeader::kSize) +
+         " (a frame header must fit)",
+     [](const SessionsSpec& s) {
+       return s.size + static_cast<std::int64_t>(session::FrameHeader::kSize) <= s.max_batch;
+     }},
+    {"probe_channels", &SessionsSpec::probe_channels, "an integer <= channels",
+     [](const SessionsSpec& s) { return s.probe_channels <= s.channels; }},
 }};
 
 const Table<CaptureSpec> kCaptureKeys{"capture", {
-    {"element", &CaptureSpec::element},
-    {"file", &CaptureSpec::file},
-    {"format", &CaptureSpec::format},
+    {"element", &CaptureSpec::element, /*required=*/true},
+    {"file", &CaptureSpec::file, /*required=*/true},
+    {"format", &CaptureSpec::format, kCaptureFormats},
 }};
 
 const Table<ProfileSpec> kProfileKeys{"profile", {
@@ -195,11 +282,11 @@ const Table<ProfileSpec> kProfileKeys{"profile", {
 
 const Table<TelemetrySpec> kTelemetryKeys{"telemetry", {
     {"enabled", &TelemetrySpec::enabled},
-    {"interval", Time{&TelemetrySpec::interval}},
+    {"interval", Time{&TelemetrySpec::interval}, {.lo = 1}},
     {"artifact", &TelemetrySpec::artifact},
     {"audit", &TelemetrySpec::audit},
     {"audit_artifact", &TelemetrySpec::audit_artifact},
-    {"max_samples", &TelemetrySpec::max_samples},
+    {"max_samples", &TelemetrySpec::max_samples, {.lo = 1}},
     // A comma-separated pattern list; blanks around each pattern are dropped.
     {"include",
      [](const Section& s, const char* k, TelemetrySpec& t) {
@@ -214,9 +301,9 @@ const Table<TelemetrySpec> kTelemetryKeys{"telemetry", {
 
 const Table<TracingSpec> kTracingKeys{"tracing", {
     {"enabled", &TracingSpec::enabled},
-    {"sample", &TracingSpec::sample},
-    {"top_k", &TracingSpec::top_k},
-    {"max_traces", &TracingSpec::max_traces},
+    {"sample", &TracingSpec::sample, {.lo = 0.0, .hi = 1.0}},
+    {"top_k", &TracingSpec::top_k, {.lo = 0}},
+    {"max_traces", &TracingSpec::max_traces, {.lo = 0}},
     {"artifact", &TracingSpec::artifact},
 }};
 
@@ -230,29 +317,52 @@ const Table<FaultSpec> kFaultKeys{"fault", {
     {"count", &FaultSpec::count},
 }};
 
-constexpr Named<obs::PcapWriter::Format> kCaptureFormats[] = {
-    {obs::PcapWriter::Format::RawIp, "raw_ip"},
-    {obs::PcapWriter::Format::DatalinkFrame, "datalink"},
+/// One INI section: its table, where its spec lives in a ScenarioSpec, and
+/// whether it repeats (each copy then binds a new spec).
+struct SectionBinding {
+  const char* name;
+  bool repeats;
+  std::vector<std::string> keys;
+  std::function<void(const Section&, ScenarioSpec&)> bind;
 };
 
-/// Capture element grammar: "node<i>.link" — node i's outbound fiber (the
-/// same element vocabulary faults use for link targeting).
-int parse_capture_node(const std::string& element, int nodes) {
-  std::size_t dot = element.rfind(".link");
-  if (element.rfind("node", 0) == 0 && dot != std::string::npos &&
-      dot + 5 == element.size() && dot > 4) {
-    int node = -1;
-    try {
-      node = std::stoi(element.substr(4, dot - 4));
-    } catch (const std::exception&) {
-      node = -1;
-    }
-    if (node >= 0 && node < nodes) return node;
-  }
-  throw std::invalid_argument("capture: unknown element '" + element +
-                              "' (want node<i>.link with i in [0, " + std::to_string(nodes) +
-                              "))");
+/// `slot` returns the spec a section binds into.
+template <class Spec, class Slot>
+SectionBinding section(const Table<Spec>& table, bool repeats, Slot slot) {
+  SectionBinding b{table.section, repeats, {},
+                   [&table, slot](const Section& s, ScenarioSpec& spec) {
+                     bind(s, table, slot(spec));
+                   }};
+  for (const Key<Spec>& k : table.keys) b.keys.emplace_back(k.name);
+  return b;
 }
+
+/// Every section from_config accepts: the list binding, the unknown- and
+/// repeated-section checks and vocabulary() all read.
+const SectionBinding kSections[] = {
+    section(kScenarioKeys, false, [](ScenarioSpec& s) -> ScenarioSpec& { return s; }),
+    section(kTopologyKeys, false, [](ScenarioSpec& s) -> auto& { return s.topology; }),
+    section(kParallelKeys, false, [](ScenarioSpec& s) -> auto& { return s.parallel; }),
+    section(kRoutingKeys, false, [](ScenarioSpec& s) -> auto& { return s.routing; }),
+    section(kCollectivesKeys, false, [](ScenarioSpec& s) -> auto& { return s.collectives; }),
+    section(kSessionsKeys, false, [](ScenarioSpec& s) -> auto& { return s.sessions; }),
+    section(kProfileKeys, false, [](ScenarioSpec& s) -> auto& { return s.profile; }),
+    section(kTelemetryKeys, false, [](ScenarioSpec& s) -> auto& { return s.telemetry; }),
+    section(kTracingKeys, false, [](ScenarioSpec& s) -> auto& { return s.tracing; }),
+    section(kWorkloadKeys, true,
+            [](ScenarioSpec& s) -> auto& {
+              // Workload i defaults to name wl<i> and claims a private 16-port
+              // band, so TCP client ports (port+1) never collide across
+              // workloads.
+              const int i = static_cast<int>(s.workloads.size());
+              WorkloadSpec& w = s.workloads.emplace_back();
+              w.name = "wl" + std::to_string(i);
+              w.port = static_cast<std::uint16_t>(7000 + 16 * i);
+              return w;
+            }),
+    section(kCaptureKeys, true, [](ScenarioSpec& s) -> auto& { return s.captures.emplace_back(); }),
+    section(kFaultKeys, true, [](ScenarioSpec& s) -> auto& { return s.faults.emplace_back(); }),
+};
 
 /// Write `text` to `path`, the value of INI key `key`, or throw naming both.
 void write_artifact(const char* key, const std::string& path, const std::string& text) {
@@ -286,99 +396,33 @@ obs::json::Value events_document(const net::Network& net) {
 }  // namespace
 
 ScenarioSpec ScenarioSpec::from_config(const Config& cfg) {
-  // A misspelled header would otherwise drop its whole section silently,
-  // and a second [scenario] would be ignored after the first. Keys above the
-  // first header land in the parser's unnamed section.
-  const auto known = vocabulary();
+  ScenarioSpec spec;
   std::set<std::string> seen;
   for (const Section& s : cfg.sections()) {
+    // Keys above the first header land in the parser's unnamed section.
     if (s.name.empty()) {
       throw std::runtime_error("config: key '" + s.values.begin()->first +
                                "' is outside any [section]");
     }
-    if (known.count(s.name) == 0) {
+    // A misspelled header would otherwise drop its whole section silently,
+    // and a second [scenario] would be ignored after the first.
+    auto b = std::find_if(std::begin(kSections), std::end(kSections),
+                          [&s](const SectionBinding& x) { return s.name == x.name; });
+    if (b == std::end(kSections)) {
       throw std::runtime_error("config: unknown section [" + s.name + "]");
     }
-    const bool repeats = s.name == kWorkloadKeys.section || s.name == kFaultKeys.section ||
-                         s.name == kCaptureKeys.section;
-    if (!repeats && !seen.insert(s.name).second) {
+    if (!b->repeats && !seen.insert(s.name).second) {
       throw std::runtime_error("config: section [" + s.name +
-                               "] appears twice (only [workload], [fault] and [capture] repeat)");
+                               "] appears twice (it does not repeat)");
     }
-  }
-  ScenarioSpec spec;
-  bind_first(cfg, kScenarioKeys, spec);
-  bind_first(cfg, kTopologyKeys, spec.topology);
-  bind_first(cfg, kParallelKeys, spec.parallel);
-  bind_first(cfg, kRoutingKeys, spec.routing);
-  bind_first(cfg, kCollectivesKeys, spec.collectives);
-  bind_first(cfg, kSessionsKeys, spec.sessions);
-  bind_first(cfg, kProfileKeys, spec.profile);
-  bind_first(cfg, kTelemetryKeys, spec.telemetry);
-  bind_first(cfg, kTracingKeys, spec.tracing);
-  for (const Section* s : cfg.all(kWorkloadKeys.section)) {
-    // Workload i defaults to name wl<i> and claims a private 16-port band,
-    // so TCP client ports (port+1) never collide across workloads.
-    const int i = static_cast<int>(spec.workloads.size());
-    WorkloadSpec& w = spec.workloads.emplace_back();
-    w.name = "wl" + std::to_string(i);
-    w.port = static_cast<std::uint16_t>(7000 + 16 * i);
-    bind(*s, kWorkloadKeys, w);
-  }
-  for (const Section* s : cfg.all(kCaptureKeys.section)) {
-    CaptureSpec& c = spec.captures.emplace_back();
-    bind(*s, kCaptureKeys, c);
-    if (c.element.empty()) throw std::runtime_error("config: [capture] needs element");
-    if (c.file.empty()) throw std::runtime_error("config: [capture] needs file");
-    parse_name(kCaptureFormats, c.format, "capture: unknown format");
-  }
-  for (const Section* s : cfg.all(kFaultKeys.section)) {
-    bind(*s, kFaultKeys, spec.faults.emplace_back());
-  }
-
-  // Checks beyond a plain bind. The defaults pass every one of them, so they
-  // run whether or not the section was present: a disabled section's typo'd
-  // value fails too.
-  if (spec.topology.trunk_propagation <= 0) {
-    throw std::invalid_argument("topology: trunk_propagation must be > 0");
-  }
-  if (spec.parallel.shards < 1) throw std::invalid_argument("parallel: shards must be >= 1");
-  ParallelSpec::validate_partition(spec.parallel.partition);
-  spec.collectives.validate();
-  spec.sessions.validate();
-  if (spec.telemetry.interval <= 0) {
-    throw std::invalid_argument("telemetry: interval must be > 0");
-  }
-  if (spec.telemetry.max_samples < 1) {
-    throw std::invalid_argument("telemetry: max_samples must be >= 1");
-  }
-  if (spec.tracing.sample < 0.0 || spec.tracing.sample > 1.0) {
-    throw std::invalid_argument("tracing: sample must be in [0, 1]");
-  }
-  if (spec.tracing.top_k < 0) throw std::invalid_argument("tracing: top_k must be >= 0");
-  if (spec.tracing.max_traces < 0) {
-    throw std::invalid_argument("tracing: max_traces must be >= 0");
+    b->bind(s, spec);
   }
   return spec;
 }
 
 std::map<std::string, std::vector<std::string>> ScenarioSpec::vocabulary() {
   std::map<std::string, std::vector<std::string>> out;
-  auto add = [&out](const auto& table) {
-    for (const auto& k : table.keys) out[table.section].emplace_back(k.name);
-  };
-  add(kScenarioKeys);
-  add(kTopologyKeys);
-  add(kParallelKeys);
-  add(kWorkloadKeys);
-  add(kRoutingKeys);
-  add(kCollectivesKeys);
-  add(kSessionsKeys);
-  add(kCaptureKeys);
-  add(kProfileKeys);
-  add(kTelemetryKeys);
-  add(kTracingKeys);
-  add(kFaultKeys);
+  for (const SectionBinding& b : kSections) out[b.name] = b.keys;
   return out;
 }
 
@@ -427,16 +471,25 @@ Scenario::Scenario(ScenarioSpec spec) : spec_(std::move(spec)), net_(spec_.paral
     workloads_.push_back(std::make_unique<Workload>(net_, raw, w, spec_.seed));
     workloads_.back()->install();
   }
+  // The drivers are built only here, so a spec built in code passes the same
+  // rows an INI section does.
   if (spec_.collectives.enabled) {
+    check(kCollectivesKeys, spec_.collectives);
     collectives_ = std::make_unique<CollectiveDriver>(net_, raw, spec_.collectives);
   }
   if (spec_.sessions.enabled) {
+    check(kSessionsKeys, spec_.sessions);
     sessions_ = std::make_unique<SessionDriver>(net_, raw, spec_.sessions, spec_.seed);
   }
   for (const CaptureSpec& c : spec_.captures) {
-    int node = parse_capture_node(c.element, n);
-    auto w = std::make_unique<obs::PcapWriter>(
-        c.file, parse_name(kCaptureFormats, c.format, "capture: unknown format"));
+    const std::string_view e = c.element;
+    const int node =
+        e.ends_with(".link") ? element_index(e.substr(0, e.size() - 5), "node", n) : -1;
+    if (node < 0) {
+      throw std::invalid_argument("capture: unknown element '" + c.element +
+                                  "' (want node<i>.link with i < " + std::to_string(n) + ")");
+    }
+    auto w = std::make_unique<obs::PcapWriter>(c.file, c.format);
     if (!w->ok()) {
       throw std::runtime_error("scenario: cannot write [capture] file '" + c.file + "'");
     }
@@ -537,7 +590,7 @@ obs::RunReport Scenario::report() {
     // Only when sharded: a shards=1 run must render byte-identically to the
     // reports committed before the parallel engine existed.
     rep.param("shards", static_cast<std::int64_t>(net_.shard_count()));
-    rep.param("partition", spec_.parallel.partition);
+    rep.param("partition", name_of(kPartitions, spec_.parallel.partition));
   }
 
   std::uint64_t tcp_retx = 0, tcp_fast = 0;

@@ -41,7 +41,12 @@ namespace nectar::scenario {
 struct CaptureSpec {
   std::string element;
   std::string file;
-  std::string format = "raw_ip";
+  obs::PcapWriter::Format format = obs::PcapWriter::Format::RawIp;
+};
+
+inline constexpr Named<obs::PcapWriter::Format> kCaptureFormats[] = {
+    {obs::PcapWriter::Format::RawIp, "raw_ip"},
+    {obs::PcapWriter::Format::DatalinkFrame, "datalink"},
 };
 
 /// Flight-recorder switches: `folded` enables the cycle-attribution

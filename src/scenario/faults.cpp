@@ -18,24 +18,19 @@ std::string FaultSpec::describe() const {
   return s;
 }
 
-FaultScheduler::FaultScheduler(net::Network& net, std::uint64_t master_seed)
-    : net_(net), master_seed_(master_seed) {}
-
-namespace {
-
-/// Parse "prefix<number>" returning the number, or -1 on mismatch.
-int parse_indexed(const std::string& s, const char* prefix) {
-  std::size_t n = std::char_traits<char>::length(prefix);
-  if (s.rfind(prefix, 0) != 0 || s.size() == n) return -1;
-  int v = 0;
-  for (std::size_t i = n; i < s.size(); ++i) {
-    if (s[i] < '0' || s[i] > '9') return -1;
-    v = v * 10 + (s[i] - '0');
+int element_index(std::string_view name, std::string_view prefix, int count) {
+  if (!name.starts_with(prefix) || name.size() == prefix.size()) return -1;
+  std::int64_t v = 0;
+  for (char c : name.substr(prefix.size())) {
+    if (c < '0' || c > '9') return -1;
+    v = v * 10 + (c - '0');
+    if (v >= count) return -1;
   }
-  return v;
+  return static_cast<int>(v);
 }
 
-}  // namespace
+FaultScheduler::FaultScheduler(net::Network& net, std::uint64_t master_seed)
+    : net_(net), master_seed_(master_seed) {}
 
 FaultScheduler::Target FaultScheduler::resolve(const FaultSpec& spec) const {
   Target t;
@@ -46,12 +41,9 @@ FaultScheduler::Target FaultScheduler::resolve(const FaultSpec& spec) const {
   }
   std::string head = spec.target.substr(0, dot);
   std::string tail = spec.target.substr(dot + 1);
-  int node = parse_indexed(head, "node");
-  int hub = parse_indexed(head, "hub");
+  int node = element_index(head, "node", net_.cab_count());
+  int hub = element_index(head, "hub", net_.hub_count());
   if (node >= 0) {
-    if (node >= net_.cab_count()) {
-      throw std::invalid_argument("fault: no such node in '" + spec.target + "'");
-    }
     t.engine = &net_.engine_of_node(node);
     if (tail == "link") {
       t.link = &net_.cab(node).out_link();
@@ -72,19 +64,16 @@ FaultScheduler::Target FaultScheduler::resolve(const FaultSpec& spec) const {
     return t;
   }
   if (hub >= 0) {
-    if (hub >= net_.hub_count()) {
-      throw std::invalid_argument("fault: no such hub in '" + spec.target + "'");
-    }
-    int port = parse_indexed(tail, "port");
-    if (port < 0 || port >= net_.hub(hub).num_ports()) {
-      throw std::invalid_argument("fault: bad port in '" + spec.target + "'");
-    }
+    int port = element_index(tail, "port", net_.hub(hub).num_ports());
+    if (port < 0) throw std::invalid_argument("fault: bad port in '" + spec.target + "'");
     t.hub = &net_.hub(hub);
     t.port = port;
     t.engine = &net_.hub_engine(hub);
     return t;
   }
-  throw std::invalid_argument("fault: bad target '" + spec.target + "'");
+  throw std::invalid_argument("fault: bad target '" + spec.target + "' (want node<i> with i < " +
+                              std::to_string(net_.cab_count()) + " or hub<h> with h < " +
+                              std::to_string(net_.hub_count()) + ")");
 }
 
 std::size_t FaultScheduler::schedule(const FaultSpec& spec) {

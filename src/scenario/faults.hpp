@@ -12,9 +12,13 @@
 //   node<i>.vme    the node's VME backplane      (vme_stall)
 //   node<i>.cab    the whole board               (cab_crash)
 //   hub<h>.port<p> one crossbar output port      (hub_blackout)
+//
+// An index is decimal digits only and below its element count; [capture]
+// element uses the same grammar (node<i>.link only).
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "net/topology.hpp"
@@ -43,6 +47,11 @@ inline constexpr Named<FaultKind> kFaultKinds[] = {
     {FaultKind::VmeStall, "vme_stall"},
     {FaultKind::CabCrash, "cab_crash"},
 };
+
+/// The index in `name` when it is `prefix` followed by decimal digits whose
+/// value is below `count`; -1 for anything else (a sign, a blank, another
+/// character, an index past the count however many digits it has).
+int element_index(std::string_view name, std::string_view prefix, int count);
 
 struct FaultSpec {
   FaultKind kind = FaultKind::LinkDrop;

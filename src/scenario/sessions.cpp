@@ -52,29 +52,6 @@ sim::SimTime exp_draw(sim::Random& rng, double mean_ns) {
 
 }  // namespace
 
-void SessionsSpec::validate() const {
-  auto bad = [](const std::string& why) { throw std::runtime_error("[sessions] " + why); };
-  if (trunks < 1) bad("trunks must be >= 1");
-  if (channels < 1) bad("channels must be >= 1");
-  if (stride < 1) bad("stride must be >= 1");
-  if (size < 16) bad("size must be >= 16 (the measurement stamp)");
-  if (size > 60000) bad("size must fit a 16-bit frame length");
-  if (size + static_cast<std::int64_t>(session::FrameHeader::kSize) > max_batch) {
-    bad("size + frame header must fit max_batch");
-  }
-  if (initial_credit < 1) bad("initial_credit must be >= 1");
-  if (send_window < 1) bad("send_window must be >= 1");
-  if (max_channels < 1) bad("max_channels must be >= 1");
-  if (aggregation < 0) bad("aggregation must be >= 0");
-  if (rate < 0.0) bad("rate must be >= 0");
-  if (churn_rate < 0.0) bad("churn_rate must be >= 0");
-  if (fail_timeout <= 0) bad("fail_timeout must be > 0");
-  if (stall_channels < 0) bad("stall_channels must be >= 0");
-  if (probe_channels < 0 || probe_channels > channels) {
-    bad("probe_channels must be in [0, channels]");
-  }
-}
-
 SessionDriver::SessionDriver(net::Network& net, std::vector<net::NodeStack*> stacks,
                              const SessionsSpec& spec, std::uint64_t master_seed)
     : net_(net),
@@ -82,7 +59,6 @@ SessionDriver::SessionDriver(net::Network& net, std::vector<net::NodeStack*> sta
       spec_(spec),
       master_seed_(master_seed),
       node_count_(net.cab_count()) {
-  spec_.validate();
   if (node_count_ < 2) throw std::runtime_error("[sessions] needs at least 2 nodes");
   if (dst_of(0) == 0) {
     throw std::runtime_error("[sessions] stride " + std::to_string(spec_.stride) +

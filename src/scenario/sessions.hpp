@@ -51,9 +51,6 @@ struct SessionsSpec {
   sim::SimTime stall_duration = sim::msec(20);
   std::int64_t stall_channels = 0;  ///< inbound wire ids [0, n) of trunk 0 freeze
   std::int64_t probe_channels = 0;  ///< channel indexes [0, n) get full histograms
-
-  /// Reject typos and bad combinations at parse time.
-  void validate() const;
 };
 
 class SessionDriver {

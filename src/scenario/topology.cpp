@@ -4,13 +4,6 @@
 
 namespace nectar::scenario {
 
-void ParallelSpec::validate_partition(const std::string& name) {
-  if (name != "modulo" && name != "block") {
-    throw std::invalid_argument("parallel: unknown partition '" + name +
-                                "' (want modulo | block)");
-  }
-}
-
 namespace {
 
 void build_star(net::Network& net, const TopologySpec& s) {
@@ -31,7 +24,7 @@ void build_fat_tree(net::Network& net, const TopologySpec& s, const ParallelSpec
   }
   int leaves = (s.nodes + cabs_per_leaf - 1) / cabs_per_leaf;
   if (leaves < 1) leaves = 1;
-  const bool block = par.partition == "block";
+  const bool block = par.partition == Partition::Block;
   const int shards = net.shard_count();
   // Leaf HUBs first (ids 0..leaves-1), then one spine HUB per uplink with a
   // port per leaf. "block" keeps contiguous leaves (and their CABs — node i
@@ -61,7 +54,6 @@ int build_topology(net::Network& net, const TopologySpec& spec, std::uint64_t ma
     throw std::invalid_argument("build_topology: network is not empty");
   }
   if (spec.nodes < 1) throw std::invalid_argument("topology: need nodes >= 1");
-  ParallelSpec::validate_partition(par.partition);
   if (par.shards != net.shard_count()) {
     throw std::invalid_argument("build_topology: spec says " + std::to_string(par.shards) +
                                 " shards but the network has " +

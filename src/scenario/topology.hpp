@@ -7,7 +7,6 @@
 // fully described by (spec, seed).
 
 #include <cstdint>
-#include <string>
 
 #include "net/topology.hpp"
 #include "scenario/config.hpp"
@@ -39,21 +38,23 @@ struct TopologySpec {
   /// all tie-breaking to spine 0. Off by default — first-trunk routes are
   /// baked into the committed BENCH_* reports.
   bool route_spread = false;
+};
 
-  static TopologyKind parse_kind(const std::string& name) {
-    return parse_name(kTopologyKinds, name, "topology: unknown kind");
-  }
+/// How HUBs map to shards. Identical for star.
+enum class Partition {
+  Modulo,  ///< hub id % shards (interleaves leaves and spines)
+  Block,   ///< contiguous leaf ranges per shard; spines spread round-robin
+};
+
+inline constexpr Named<Partition> kPartitions[] = {
+    {Partition::Modulo, "modulo"},
+    {Partition::Block, "block"},
 };
 
 /// How HUBs map to simulation shards ([parallel] INI section).
 struct ParallelSpec {
   int shards = 1;  ///< worker threads / event queues; 1 = sequential engine
-  /// "modulo": hub id % shards (interleaves leaves and spines).
-  /// "block": contiguous leaf ranges per shard (keeps neighbor leaves
-  /// together; spines spread round-robin). Identical for star.
-  std::string partition = "modulo";
-
-  static void validate_partition(const std::string& name);  // throws on typo
+  Partition partition = Partition::Modulo;
 };
 
 /// Build `spec` into `net` (which must be empty), install routes, and seed

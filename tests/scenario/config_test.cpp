@@ -21,12 +21,13 @@ TEST(ConfigTest, ParsesSectionsAndValues) {
       "[topology]\n"
       "kind = star\n"
       "nodes = 8\n");
-  const Section* s = cfg.find("scenario");
-  ASSERT_NE(s, nullptr);
-  EXPECT_EQ(s->get("name", ""), "smoke");
-  EXPECT_EQ(s->get_int("seed", 0), 42);
-  EXPECT_EQ(cfg.find("topology")->get_int("nodes", 0), 8);
-  EXPECT_EQ(cfg.find("missing"), nullptr);
+  ASSERT_EQ(cfg.sections().size(), 2u);
+  const Section& s = cfg.sections()[0];
+  EXPECT_EQ(s.name, "scenario");
+  EXPECT_EQ(s.get("name", ""), "smoke");
+  EXPECT_EQ(s.get_int("seed", 0), 42);
+  EXPECT_EQ(cfg.sections()[1].name, "topology");
+  EXPECT_EQ(cfg.sections()[1].get_int("nodes", 0), 8);
 }
 
 TEST(ConfigTest, RepeatedSectionsKeepFileOrder) {
@@ -34,11 +35,13 @@ TEST(ConfigTest, RepeatedSectionsKeepFileOrder) {
       "[workload]\nname = a\n"
       "[fault]\nkind = link_drop\n"
       "[workload]\nname = b\n");
-  auto wls = cfg.all("workload");
-  ASSERT_EQ(wls.size(), 2u);
-  EXPECT_EQ(wls[0]->get("name", ""), "a");
-  EXPECT_EQ(wls[1]->get("name", ""), "b");
-  EXPECT_EQ(cfg.all("fault").size(), 1u);
+  const std::vector<Section>& s = cfg.sections();
+  ASSERT_EQ(s.size(), 3u);
+  EXPECT_EQ(s[0].name, "workload");
+  EXPECT_EQ(s[0].get("name", ""), "a");
+  EXPECT_EQ(s[1].name, "fault");
+  EXPECT_EQ(s[2].name, "workload");
+  EXPECT_EQ(s[2].get("name", ""), "b");
 }
 
 TEST(ConfigTest, CommentsAndWhitespaceIgnored) {
@@ -47,7 +50,8 @@ TEST(ConfigTest, CommentsAndWhitespaceIgnored) {
       "  [a]  \n"
       "; alt comment style\n"
       "  key =   spaced value  \n");
-  EXPECT_EQ(cfg.find("a")->get("key", ""), "spaced value");
+  EXPECT_EQ(cfg.sections().at(0).name, "a");
+  EXPECT_EQ(cfg.sections().at(0).get("key", ""), "spaced value");
 }
 
 TEST(ConfigTest, DurationSuffixes) {
@@ -63,7 +67,7 @@ TEST(ConfigTest, DurationSuffixes) {
 
 TEST(ConfigTest, TypedGettersValidate) {
   Config cfg = Config::parse_string("[s]\nn = 12\nf = 0.5\nb = yes\nt = 3ms\nbad = zzz\n");
-  const Section* s = cfg.find("s");
+  const Section* s = &cfg.sections().at(0);
   EXPECT_EQ(s->get_int("n", 0), 12);
   EXPECT_DOUBLE_EQ(s->get_double("f", 0), 0.5);
   EXPECT_TRUE(s->get_bool("b", false));
@@ -172,6 +176,77 @@ TEST(ConfigTest, NumbersThatDoNotFitThrowNamingTheKey) {
   rejects("[topology]\nnodes = 4294967300\n", "topology", "nodes");
   rejects("[workload]\nproto = rmp\nusers = 2147483648\n", "workload", "users");
   rejects("[workload]\nproto = rmp\nsize = 4294967360\n", "workload", "size");
+}
+
+// Every bounded key: the value at the edge of its range binds, and the value
+// just past it throws, naming the section and the key. The last cases are
+// [sessions]'s two rules between keys.
+TEST(ConfigTest, EveryBoundIsEnforced) {
+  struct Case {
+    const char* section;
+    const char* key;
+    const char* edge;
+    const char* past;
+    const char* context = "";  // other keys of the section
+  };
+  const Case cases[] = {
+      {"topology", "trunk_propagation", "1ns", "0ns"},
+      {"parallel", "shards", "1", "0"},
+      {"collectives", "iterations", "0", "-1"},
+      {"collectives", "timeout", "1ns", "0ns"},
+      {"collectives", "retransmit", "1ns", "0ns"},
+      {"sessions", "trunks", "1", "0"},
+      {"sessions", "channels", "1", "0"},
+      {"sessions", "stride", "1", "0"},
+      {"sessions", "rate", "0", "-0.001"},
+      {"sessions", "size", "16", "15"},
+      {"sessions", "size", "60000", "60001", "max_batch = 70000\n"},
+      {"sessions", "initial_credit", "1", "0"},
+      {"sessions", "send_window", "1", "0"},
+      {"sessions", "max_channels", "1", "0"},
+      {"sessions", "aggregation", "0ns", "-1ns"},
+      {"sessions", "fail_timeout", "1ns", "0ns"},
+      {"sessions", "churn_rate", "0", "-0.001"},
+      {"sessions", "stall_channels", "0", "-1"},
+      {"sessions", "probe_channels", "0", "-1"},
+      {"telemetry", "interval", "1ns", "0ns"},
+      {"telemetry", "max_samples", "1", "0"},
+      {"tracing", "sample", "0", "-0.001"},
+      {"tracing", "sample", "1", "1.001"},
+      {"tracing", "top_k", "0", "-1"},
+      {"tracing", "max_traces", "0", "-1"},
+      {"sessions", "size", "4086", "4087", "max_batch = 4096\n"},  // a 10-byte frame header
+      {"sessions", "probe_channels", "10", "11", "channels = 10\n"},
+  };
+  for (const Case& c : cases) {
+    auto ini = [&c](const char* value) {
+      return "[" + std::string(c.section) + "]\n" + c.context + c.key + " = " + value + "\n";
+    };
+    EXPECT_NO_THROW(ScenarioSpec::from_config(Config::parse_string(ini(c.edge)))) << ini(c.edge);
+    try {
+      ScenarioSpec::from_config(Config::parse_string(ini(c.past)));
+      ADD_FAILURE() << "accepted: " << ini(c.past);
+    } catch (const std::runtime_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("[" + std::string(c.section) + "]"), std::string::npos) << what;
+      EXPECT_NE(what.find("'" + std::string(c.key) + "'"), std::string::npos) << what;
+    }
+  }
+}
+
+// A spec built in code passes the same rows when the Scenario builds the
+// collectives and sessions drivers from it.
+TEST(ConfigTest, SpecsBuiltInCodeMeetTheSameBounds) {
+  ScenarioSpec coll;
+  coll.topology.nodes = 2;
+  coll.collectives.enabled = true;
+  coll.collectives.timeout = 0;
+  EXPECT_THROW(Scenario sc(std::move(coll)), std::runtime_error);
+  ScenarioSpec sess;
+  sess.topology.nodes = 2;
+  sess.sessions.enabled = true;
+  sess.sessions.probe_channels = sess.sessions.channels + 1;
+  EXPECT_THROW(Scenario sc(std::move(sess)), std::runtime_error);
 }
 
 // Disabled sections still validate their values — a typo'd *value* must not

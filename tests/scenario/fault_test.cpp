@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+
 #include "net/system.hpp"
+#include "scenario/engine.hpp"
 
 namespace nectar::scenario {
 namespace {
@@ -57,6 +60,42 @@ TEST(FaultSchedulerTest, RejectsBadTargets) {
   f.rate = 1.5;
   EXPECT_THROW(fs.schedule(f), std::invalid_argument);
   EXPECT_EQ(fs.faults_injected(), 0u);
+}
+
+// [capture] element and [fault] target share one element grammar: an index
+// is decimal digits only and below the element count, so neither section
+// reads a prefix of a malformed name or wraps an oversized index.
+TEST(FaultSchedulerTest, CaptureAndFaultRejectTheSameElements) {
+  auto star4 = [] {
+    ScenarioSpec spec;
+    spec.topology.nodes = 4;
+    return spec;
+  };
+  const std::string pcap = ::testing::TempDir() + "element-grammar.pcap";
+  auto capture = [&star4, &pcap](const std::string& element) {
+    ScenarioSpec spec = star4();
+    spec.captures.push_back({element, pcap});
+    Scenario sc(std::move(spec));
+  };
+  auto fault = [&star4](const std::string& element) {
+    ScenarioSpec spec = star4();
+    FaultSpec& f = spec.faults.emplace_back();
+    f.kind = FaultKind::LinkDrop;
+    f.target = element;
+    f.at = sim::msec(1);
+    f.duration = sim::msec(1);
+    f.rate = 0.5;
+    Scenario sc(std::move(spec));
+  };
+  for (const char* bad : {"node1x.link", "node+1.link", "node 1.link", "node-0.link",
+                          "node4294967296.link", "node4.link", "node.link", "node1.lnk",
+                          "nodeA.link", "hub0.port3", ""}) {
+    EXPECT_THROW(capture(bad), std::invalid_argument) << "[capture] element = " << bad;
+    EXPECT_THROW(fault(bad), std::invalid_argument) << "[fault] target = " << bad;
+  }
+  EXPECT_NO_THROW(capture("node3.link"));
+  EXPECT_NO_THROW(fault("node3.link"));
+  std::remove(pcap.c_str());
 }
 
 TEST(FaultSchedulerTest, DropBurstEatsExactlyCountFrames) {

@@ -62,8 +62,8 @@ timeline = tl.json
   ASSERT_EQ(spec.captures.size(), 2u);
   EXPECT_EQ(spec.captures[0].element, "node0.link");
   EXPECT_EQ(spec.captures[0].file, "a.pcap");
-  EXPECT_EQ(spec.captures[0].format, "raw_ip");  // the default
-  EXPECT_EQ(spec.captures[1].format, "datalink");
+  EXPECT_EQ(spec.captures[0].format, obs::PcapWriter::Format::RawIp);  // the default
+  EXPECT_EQ(spec.captures[1].format, obs::PcapWriter::Format::DatalinkFrame);
   EXPECT_TRUE(spec.profile.enabled());
   EXPECT_EQ(spec.profile.folded, "prof.folded");
   EXPECT_EQ(spec.profile.timeline, "tl.json");
@@ -142,7 +142,7 @@ duration = 60ms
 rate = 0.4
 )"));
   spec.seed = seed;
-  spec.captures.push_back({"node0.link", pcap, "raw_ip"});
+  spec.captures.push_back({"node0.link", pcap});
   spec.profile.folded = folded;
   spec.profile.timeline = timeline;
   return spec;

@@ -67,10 +67,10 @@ TEST(ParallelScenarioTest, ParallelSectionParses) {
   ScenarioSpec spec = ScenarioSpec::from_config(Config::parse_string(
       "[parallel]\nshards = 4\npartition = block\n"));
   EXPECT_EQ(spec.parallel.shards, 4);
-  EXPECT_EQ(spec.parallel.partition, "block");
+  EXPECT_EQ(spec.parallel.partition, Partition::Block);
 
   EXPECT_THROW(ScenarioSpec::from_config(Config::parse_string("[parallel]\nshards = 0\n")),
-               std::invalid_argument);
+               std::runtime_error);
   EXPECT_THROW(
       ScenarioSpec::from_config(Config::parse_string("[parallel]\npartition = striped\n")),
       std::invalid_argument);
@@ -79,7 +79,7 @@ TEST(ParallelScenarioTest, ParallelSectionParses) {
       << "unknown keys must be rejected";
   EXPECT_THROW(
       ScenarioSpec::from_config(Config::parse_string("[topology]\ntrunk_propagation = 0\n")),
-      std::invalid_argument);
+      std::runtime_error);
 }
 
 TEST(ParallelScenarioTest, ShardsRejectProcessGlobalFeatures) {
@@ -116,7 +116,7 @@ struct Outcome {
   std::string report;
 };
 
-Outcome run_fat_tree(int shards, const std::string& partition = "modulo") {
+Outcome run_fat_tree(int shards, Partition partition = Partition::Modulo) {
   ScenarioSpec spec = fat_tree_spec(shards);
   spec.parallel.partition = partition;
   Scenario sc(std::move(spec));
@@ -189,7 +189,7 @@ TEST(ParallelScenarioTest, CrossShardTrafficFlows) {
 TEST(ParallelScenarioTest, ResultsInvariantAcrossShardCounts) {
   Outcome s1 = run_fat_tree(1);
   Outcome s2 = run_fat_tree(2);
-  Outcome s2b = run_fat_tree(2, "block");
+  Outcome s2b = run_fat_tree(2, Partition::Block);
   Outcome s4 = run_fat_tree(4);
   for (const Outcome* o : {&s2, &s2b, &s4}) {
     EXPECT_EQ(simulated_part(s1.report), simulated_part(o->report));

@@ -88,7 +88,7 @@ include = sim.parallel, workload
   EXPECT_EQ(spec.telemetry.include[0], "sim.parallel");
   EXPECT_EQ(spec.telemetry.include[1], "workload");
   EXPECT_THROW(ScenarioSpec::from_config(Config::parse_string("[telemetry]\ninterval = 0ms\n")),
-               std::invalid_argument);
+               std::runtime_error);
   EXPECT_THROW(ScenarioSpec::from_config(Config::parse_string("[telemetry]\ncadence = 1ms\n")),
                std::runtime_error);
 }

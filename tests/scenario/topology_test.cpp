@@ -47,9 +47,13 @@ TEST(ScenarioTopologyTest, RequiresEmptyNetwork) {
 }
 
 TEST(ScenarioTopologyTest, ParseKind) {
-  EXPECT_EQ(TopologySpec::parse_kind("star"), TopologyKind::Star);
-  EXPECT_EQ(TopologySpec::parse_kind("fat_tree"), TopologyKind::FatTree);
-  EXPECT_THROW(TopologySpec::parse_kind("torus"), std::invalid_argument);
+  auto kind = [](const std::string& name) {
+    return ScenarioSpec::from_config(Config::parse_string("[topology]\nkind = " + name + "\n"))
+        .topology.kind;
+  };
+  EXPECT_EQ(kind("star"), TopologyKind::Star);
+  EXPECT_EQ(kind("fat_tree"), TopologyKind::FatTree);
+  EXPECT_THROW(kind("torus"), std::invalid_argument);
 }
 
 TEST(ScenarioTopologyTest, FatTreeCarriesTrafficEndToEnd) {

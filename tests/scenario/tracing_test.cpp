@@ -157,9 +157,9 @@ TEST(ScenarioTracingTest, DisabledTracingLeavesReportUntouched) {
 
 TEST(ScenarioTracingTest, ConfigValidation) {
   EXPECT_THROW(traced_spec(1, "\n[tracing]\nenabled = true\nsample = 1.5\n"),
-               std::invalid_argument);
+               std::runtime_error);
   EXPECT_THROW(traced_spec(1, "\n[tracing]\nenabled = true\ntop_k = -1\n"),
-               std::invalid_argument);
+               std::runtime_error);
   EXPECT_THROW(traced_spec(1, "\n[tracing]\nsampel = 0.5\n"), std::runtime_error);
 }
 
