@@ -69,7 +69,6 @@ bool CollectiveEngine::mask_has_all(const std::vector<std::uint64_t>& m,
 
 void CollectiveEngine::join_group(GroupSpec spec) {
   if (spec.members.empty()) throw std::invalid_argument("coll: group has no members");
-  if (spec.fanout < 1) throw std::invalid_argument("coll: fanout must be >= 1");
   if (spec.root_rank < 0 || spec.root_rank >= spec.size()) {
     throw std::invalid_argument("coll: root_rank out of range");
   }

@@ -16,9 +16,12 @@
 
 namespace nectar::coll {
 
+/// Arity of the arrive/reduce tree: binary.
+constexpr int kTreeFanout = 2;
+
 /// Barrier algorithm selector.
 enum class Algorithm : std::uint8_t {
-  Tree,           ///< fanout-ary arrive/release tree rooted at root_rank
+  Tree,           ///< binary arrive/release tree rooted at root_rank
   Dissemination,  ///< butterfly: ceil(log2 n) rounds of pairwise notifications
 };
 
@@ -30,7 +33,6 @@ struct GroupSpec {
   std::vector<int> members;
   int root_rank = 0;
   Algorithm algorithm = Algorithm::Tree;
-  int fanout = 2;  ///< tree arity (arrive/reduce combining width)
   /// Give up and fail the group (loud, attributable error) after this long
   /// in one collective op.
   sim::SimTime timeout = 50'000'000;  // 50 ms
@@ -57,13 +59,13 @@ struct GroupSpec {
   /// Parent rank in the arrive/reduce tree, or -1 for the root.
   int parent_of(int rank) const {
     int v = vrank(rank);
-    return v == 0 ? -1 : actual((v - 1) / fanout);
+    return v == 0 ? -1 : actual((v - 1) / kTreeFanout);
   }
-  /// Child ranks in the arrive/reduce tree (at most `fanout`).
+  /// Child ranks in the arrive/reduce tree (at most kTreeFanout).
   std::vector<int> children_of(int rank) const {
     std::vector<int> out;
     int v = vrank(rank);
-    for (int c = fanout * v + 1; c <= fanout * v + fanout && c < size(); ++c) {
+    for (int c = kTreeFanout * v + 1; c <= kTreeFanout * v + kTreeFanout && c < size(); ++c) {
       out.push_back(actual(c));
     }
     return out;

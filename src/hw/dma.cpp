@@ -66,12 +66,10 @@ void DmaController::finish_recv() {
   done(std::move(af), crc_ok);
 }
 
-void DmaController::start_send(RouteRef route, std::span<const std::uint8_t> header, CabAddr src,
+void DmaController::start_send(Frame f, std::span<const std::uint8_t> header, CabAddr src,
                                std::size_t len, SendCallback done, int src_node,
                                obs::TraceContext trace) {
   if (len > 0) check_dma_range(src, len);
-  Frame f;
-  f.route = std::move(route);
   f.trace = trace;
   if (trace.valid()) {
     if (auto* ct = obs::CausalTracer::active()) ct->stage(trace, "tx.dma");
@@ -91,36 +89,6 @@ void DmaController::start_send(RouteRef route, std::span<const std::uint8_t> hea
   // The memory->FIFO leg streams at least at fiber rate and overlaps the
   // transmission; a fixed setup charge covers channel programming. The frame
   // waits in the controller (FIFO order matches event order at equal times).
-  if (profiler_ != nullptr && profiler_->enabled()) {
-    profiler_->record_occupancy(profile_name_, "send", sim::costs::kDmaSetup);
-  }
-  send_queue_.push_back(PendingSend{std::move(f), std::move(done)});
-  engine_.schedule_in(sim::costs::kDmaSetup, [this] { flush_send(); });
-}
-
-void DmaController::start_send_mcast(McastRef mcast, std::span<const std::uint8_t> header,
-                                     CabAddr src, std::size_t len, SendCallback done,
-                                     int src_node, obs::TraceContext trace) {
-  if (!mcast.valid())
-    throw std::logic_error("DmaController::start_send_mcast: empty multicast tree");
-  if (len > 0) check_dma_range(src, len);
-  Frame f;
-  f.mcast = std::move(mcast);
-  f.mcast_node = 0;
-  f.trace = trace;
-  if (trace.valid()) {
-    if (auto* ct = obs::CausalTracer::active()) ct->stage(trace, "tx.dma");
-  }
-  f.payload = PooledBytes(header.size() + len);
-  std::copy(header.begin(), header.end(), f.payload.begin());
-  if (len > 0) {
-    memory_.read(src, f.payload.bytes().subspan(header.size(), len));
-  }
-  f.crc = Crc32::compute(f.payload);  // hardware CRC, zero CPU cost
-  f.id = next_frame_id_++;
-  f.src_node = src_node;
-  ++send_frames_;
-
   if (profiler_ != nullptr && profiler_->enabled()) {
     profiler_->record_occupancy(profile_name_, "send", sim::costs::kDmaSetup);
   }

@@ -42,23 +42,18 @@ class DmaController {
 
   /// Transmit a frame: `header` (datalink + protocol header bytes, gathered
   /// from the CPU's composition buffer) followed by `len` bytes from data
-  /// memory at `src`. The header bytes are copied into the frame's pooled
-  /// payload buffer before this returns; `header` need not outlive the call.
+  /// memory at `src`. `f` arrives addressed — a unicast `route`, or a
+  /// multicast tree in `mcast` that every HUB it reaches replicates
+  /// (hw::McastTree: one send-channel pass, one fiber serialization, the
+  /// fan-out happens in the fabric) — and the controller fills in the rest.
+  /// The header bytes are copied into the frame's pooled payload buffer
+  /// before this returns; `header` need not outlive the call.
   /// Hardware computes the CRC over the payload as it streams out.
   /// `done` fires when the last byte has left the transmitter.
   /// `trace` (optional) is the causal-trace context mirrored onto the frame
   /// so fabric elements can attribute time to the sampled message.
-  void start_send(RouteRef route, std::span<const std::uint8_t> header, CabAddr src,
-                  std::size_t len, SendCallback done, int src_node = -1,
-                  obs::TraceContext trace = {});
-
-  /// Multicast transmit: identical to start_send but the frame carries a
-  /// distribution tree instead of a unicast route; every HUB it reaches
-  /// replicates it per the tree (hw::McastTree). One send-channel pass, one
-  /// fiber serialization — the fan-out happens in the fabric.
-  void start_send_mcast(McastRef mcast, std::span<const std::uint8_t> header, CabAddr src,
-                        std::size_t len, SendCallback done, int src_node = -1,
-                        obs::TraceContext trace = {});
+  void start_send(Frame f, std::span<const std::uint8_t> header, CabAddr src, std::size_t len,
+                  SendCallback done, int src_node = -1, obs::TraceContext trace = {});
 
   // ---- VME channel (host memory <-> data memory) -------------------------
 

@@ -59,7 +59,7 @@ void DatagramProtocol::send_raw_via(const hw::RouteRef& route, core::MailboxAddr
                                     hw::CabAddr payload, std::size_t len,
                                     sim::InplaceAction on_sent, std::uint32_t src_mailbox) {
   proto::HeaderBufLease hdr = compose_header(dst, len, src_mailbox);
-  dl_.send_via(proto::PacketType::NectarDatagram, route, dst.node, std::move(hdr), payload, len,
+  dl_.send_via(proto::PacketType::NectarDatagram, route, std::move(hdr), payload, len,
                std::move(on_sent));
 }
 

@@ -62,18 +62,29 @@ void Datalink::register_client(PacketType type, DatalinkClient* client) {
 
 void Datalink::send(PacketType type, int dst_node, HeaderBufLease hdr, hw::CabAddr payload,
                     std::size_t len, sim::InplaceAction on_sent, obs::TraceContext tctx) {
-  send_via(type, route_ref(dst_node), dst_node, std::move(hdr), payload, len, std::move(on_sent),
-           tctx);
+  transmit(type, route_ref(dst_node), {}, std::move(hdr), payload, len, std::move(on_sent), tctx);
 }
 
-void Datalink::send_via(PacketType type, const hw::RouteRef& route, int dst_node,
+void Datalink::send_via(PacketType type, const hw::RouteRef& route, HeaderBufLease hdr,
+                        hw::CabAddr payload, std::size_t len, sim::InplaceAction on_sent,
+                        obs::TraceContext tctx) {
+  transmit(type, route, {}, std::move(hdr), payload, len, std::move(on_sent), tctx);
+}
+
+void Datalink::send_mcast(PacketType type, const hw::McastRef& mcast, HeaderBufLease hdr,
+                          hw::CabAddr payload, std::size_t len, sim::InplaceAction on_sent,
+                          obs::TraceContext tctx) {
+  if (!mcast.valid()) throw std::logic_error("Datalink::send_mcast: empty multicast tree");
+  transmit(type, {}, mcast, std::move(hdr), payload, len, std::move(on_sent), tctx);
+}
+
+void Datalink::transmit(PacketType type, const hw::RouteRef& route, const hw::McastRef& mcast,
                         HeaderBufLease hdr, hw::CabAddr payload, std::size_t len,
                         sim::InplaceAction on_sent, obs::TraceContext tctx) {
   std::size_t proto_len = hdr.size();
   if (proto_len + len > kMaxPayload) {
     throw std::logic_error("Datalink::send: packet exceeds maximum payload");
   }
-  (void)dst_node;
   obs::CostScope scope("dl/send");
   rt_.cpu().charge(costs::kDatalinkSend);
 
@@ -105,44 +116,16 @@ void Datalink::send_via(PacketType type, const hw::RouteRef& route, int dst_node
     core::Cpu& cpu = rt_.cpu();
     completion = [&cpu, fn = std::move(on_sent)]() mutable { cpu.post_interrupt(std::move(fn)); };
   }
-  rt_.board().dma().start_send(route, hdr.bytes(), len > 0 ? payload : hw::kDataBase, len,
+  // Address the frame only now: the charge above can block, and a route the
+  // control plane installs meanwhile applies to this frame.
+  hw::Frame to;
+  if (mcast.valid()) {
+    to.mcast = mcast;
+  } else {
+    to.route = route;
+  }
+  rt_.board().dma().start_send(std::move(to), hdr.bytes(), len > 0 ? payload : hw::kDataBase, len,
                                std::move(completion), node_id(), tctx);
-}
-
-void Datalink::send_mcast(PacketType type, const hw::McastRef& mcast, HeaderBufLease hdr,
-                          hw::CabAddr payload, std::size_t len, sim::InplaceAction on_sent,
-                          obs::TraceContext tctx) {
-  std::size_t proto_len = hdr.size();
-  if (proto_len + len > kMaxPayload) {
-    throw std::logic_error("Datalink::send_mcast: packet exceeds maximum payload");
-  }
-  obs::CostScope scope("dl/send");
-  rt_.cpu().charge(costs::kDatalinkSend);
-
-  obs::CausalTracer* ct = tctx.valid() ? obs::CausalTracer::active() : nullptr;
-  if (ct != nullptr) {
-    ct->stage(tctx, "tx.datalink", "node" + std::to_string(node_id()));
-    obs::encode_stamp(hdr.ensure().push_front(obs::kTraceStampBytes), tctx);
-    proto_len += obs::kTraceStampBytes;
-  }
-
-  DatalinkHeader dh;
-  dh.type = type;
-  dh.src_node = static_cast<std::uint8_t>(node_id());
-  dh.length = static_cast<std::uint16_t>(proto_len + len);
-  dh.traced = ct != nullptr;
-  dh.serialize(hdr.ensure().push_front(DatalinkHeader::kSize));
-
-  ++packets_sent_;
-  packet_bytes_->observe(static_cast<std::int64_t>(proto_len + len));
-  trace_instant("dl.send");
-  hw::SendCallback completion;
-  if (on_sent) {
-    core::Cpu& cpu = rt_.cpu();
-    completion = [&cpu, fn = std::move(on_sent)]() mutable { cpu.post_interrupt(std::move(fn)); };
-  }
-  rt_.board().dma().start_send_mcast(mcast, hdr.bytes(), len > 0 ? payload : hw::kDataBase, len,
-                                     std::move(completion), node_id(), tctx);
 }
 
 void Datalink::discard_front() {

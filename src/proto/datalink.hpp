@@ -96,9 +96,8 @@ class Datalink {
 
   /// Like send, but over an explicit source route instead of the installed
   /// table entry. The control plane uses this to probe alternate paths
-  /// without disturbing the route live traffic takes. `dst_node` is only
-  /// recorded for tracing; the route bytes decide where the frame goes.
-  void send_via(PacketType type, const hw::RouteRef& route, int dst_node, HeaderBufLease hdr,
+  /// without disturbing the route live traffic takes.
+  void send_via(PacketType type, const hw::RouteRef& route, HeaderBufLease hdr,
                 hw::CabAddr payload, std::size_t len, sim::InplaceAction on_sent = {},
                 obs::TraceContext tctx = {});
 
@@ -120,6 +119,11 @@ class Datalink {
   std::uint64_t dropped_runt() const { return dropped_runt_; }
 
  private:
+  /// The one send path, for a unicast `route` or, when valid, a multicast
+  /// tree `mcast`.
+  void transmit(PacketType type, const hw::RouteRef& route, const hw::McastRef& mcast,
+                HeaderBufLease hdr, hw::CabAddr payload, std::size_t len,
+                sim::InplaceAction on_sent, obs::TraceContext tctx);
   void process_pending();  // interrupt context
   void discard_front();    // interrupt context
   void finish_recv();      // interrupt context: the oldest receive's DMA is done

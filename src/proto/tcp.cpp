@@ -21,6 +21,17 @@ bool seq_le(std::uint32_t a, std::uint32_t b) { return static_cast<std::int32_t>
 bool seq_gt(std::uint32_t a, std::uint32_t b) { return static_cast<std::int32_t>(a - b) > 0; }
 
 constexpr std::size_t kCombinedHeader = IpHeader::kSize + TcpHeader::kSize;
+
+/// BSD-era default socket buffering (4.3BSD shipped 4 KB; tuned Nectar-era
+/// stacks ran 8-16 KB). This is what keeps even checksum-free TCP slightly
+/// below RMP in Fig. 7 — the window, not the wire, is the ceiling.
+constexpr std::uint32_t kReceiveWindow = 64 * 1024 - 1;
+constexpr sim::SimTime kMinRto = sim::usec(500);
+/// Conservative before the first RTT sample (checksumming a 9 KB segment
+/// alone takes ~1.4 ms of CAB CPU); adapts down once samples arrive.
+constexpr sim::SimTime kInitialRto = sim::msec(50);
+constexpr sim::SimTime kMaxRto = sim::msec(500);
+constexpr sim::SimTime kTimeWait = sim::msec(10);  ///< 2*MSL scaled to simulation RTTs
 }  // namespace
 
 Tcp::Tcp(Ip& ip, Config config)
@@ -55,7 +66,7 @@ TcpConnection* Tcp::make_connection(std::uint16_t local_port) {
   c->tcp_ = this;
   c->id_ = next_conn_id_++;
   c->local_port_ = local_port;
-  c->rto_ = config_.initial_rto;
+  c->rto_ = kInitialRto;
   c->receive_ = &runtime().create_mailbox("tcp-rx-" + std::to_string(c->id_));
   TcpConnection* raw = c.get();
   // Window updates: when the user (a CAB thread or, via the shared mapping,
@@ -68,8 +79,8 @@ TcpConnection* Tcp::make_connection(std::uint16_t local_port) {
     if (raw->wnd_update_pending_ || raw->state_ == TcpConnection::State::Closed) return;
     // Cheap pre-check (no charge): is there meaningful growth to announce?
     std::size_t queued = raw->receive_->queued_bytes();
-    std::size_t wnd = config_.receive_window > queued ? config_.receive_window - queued : 0;
-    std::size_t threshold = std::min(mss_, static_cast<std::size_t>(config_.receive_window / 4));
+    std::size_t wnd = kReceiveWindow > queued ? kReceiveWindow - queued : 0;
+    std::size_t threshold = std::min(mss_, static_cast<std::size_t>(kReceiveWindow / 4));
     if (wnd <= raw->last_advertised_wnd_ || wnd - raw->last_advertised_wnd_ < threshold) return;
     raw->wnd_update_pending_ = true;
     cab_cpu->post_interrupt([this, id] { post_timer_marker(id, kWindowUpdate); });
@@ -242,7 +253,7 @@ void Tcp::retransmit_head(TcpConnection* c) {
 
 std::uint16_t Tcp::advertised_window(TcpConnection* c) const {
   std::size_t queued = c->receive_->queued_bytes();
-  std::size_t wnd = config_.receive_window > queued ? config_.receive_window - queued : 0;
+  std::size_t wnd = kReceiveWindow > queued ? kReceiveWindow - queued : 0;
   return static_cast<std::uint16_t>(std::min<std::size_t>(wnd, 0xFFFF));
 }
 
@@ -412,7 +423,7 @@ void Tcp::handle_timer_marker(std::uint32_t conn_id, std::uint32_t kind) {
     std::uint16_t now_wnd = advertised_window(c);
     if (now_wnd > c->last_advertised_wnd_ &&
         static_cast<std::size_t>(now_wnd - c->last_advertised_wnd_) >=
-            std::min(mss_, static_cast<std::size_t>(config_.receive_window / 4))) {
+            std::min(mss_, static_cast<std::size_t>(kReceiveWindow / 4))) {
       emit(c, kTcpAck, c->snd_nxt_, 0, 0);
     }
   }
@@ -442,7 +453,7 @@ void Tcp::on_retransmit_timeout(std::uint32_t conn_id) {
 
   // Karn's rule: outstanding RTT samples are invalid after a retransmission.
   c->rtt_samples_.clear();
-  c->rto_ = std::min(c->rto_ * 2, config_.max_rto);
+  c->rto_ = std::min(c->rto_ * 2, kMaxRto);
   window_point(c, "tcp.rto");
 
   switch (c->state_) {
@@ -495,7 +506,7 @@ void Tcp::rtt_sample(TcpConnection* c, sim::SimTime rtt) {
     c->srtt_ += err / 8;
     c->rttvar_ += (std::abs(err) - c->rttvar_) / 4;
   }
-  c->rto_ = std::clamp(c->srtt_ + 4 * c->rttvar_, config_.min_rto, config_.max_rto);
+  c->rto_ = std::clamp(c->srtt_ + 4 * c->rttvar_, kMinRto, kMaxRto);
 }
 
 // --- input path -----------------------------------------------------------------------
@@ -618,7 +629,7 @@ void Tcp::process_segment(core::Message m) {
         c->snd_una_ = th.ack;
         c->snd_wnd_ = th.window;
         cancel_retransmit(c);
-        c->rto_ = config_.initial_rto;
+        c->rto_ = kInitialRto;
         enter_established(c);
         emit(c, kTcpAck, c->snd_nxt_, 0, 0);
       } else if (th.has(kTcpSyn)) {
@@ -641,7 +652,7 @@ void Tcp::process_segment(core::Message m) {
 
   if (c->state_ == St::SynRcvd && th.has(kTcpAck) && seq_gt(th.ack, c->iss_)) {
     cancel_retransmit(c);
-    c->rto_ = config_.initial_rto;
+    c->rto_ = kInitialRto;
     enter_established(c);
   }
 
@@ -730,7 +741,7 @@ void Tcp::handle_ack(TcpConnection* c, const TcpHeader& th) {
   if (seq_lt(c->snd_una_, c->snd_nxt_)) {
     arm_retransmit(c);
   } else {
-    c->rto_ = std::clamp(c->srtt_ + 4 * c->rttvar_, config_.min_rto, config_.max_rto);
+    c->rto_ = std::clamp(c->srtt_ + 4 * c->rttvar_, kMinRto, kMaxRto);
   }
 
   // FIN acknowledged?
@@ -845,7 +856,7 @@ void Tcp::enter_time_wait(TcpConnection* c) {
   c->state_ = TcpConnection::State::TimeWait;
   std::uint32_t id = c->id_;
   c->time_wait_timer_ =
-      runtime().cpu().set_timer(runtime().engine().now() + config_.time_wait,
+      runtime().cpu().set_timer(runtime().engine().now() + kTimeWait,
                                 [this, id] { post_timer_marker(id, kTimerTimeWait); });
   wake_state_waiters(c);
 }

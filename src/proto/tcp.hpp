@@ -137,16 +137,6 @@ struct TcpConfig {
   /// avoidance, and fast retransmit after three duplicate ACKs. Matters on
   /// lossy or congested paths; a quiet Nectar LAN never notices it.
   bool congestion_control = false;
-  /// BSD-era default socket buffering (4.3BSD shipped 4 KB; tuned Nectar-era
-  /// stacks ran 8-16 KB). This is what keeps even checksum-free TCP slightly
-  /// below RMP in Fig. 7 — the window, not the wire, is the ceiling.
-  std::uint32_t receive_window = 64 * 1024 - 1;
-  sim::SimTime min_rto = sim::usec(500);
-  /// Conservative before the first RTT sample (checksumming a 9 KB segment
-  /// alone takes ~1.4 ms of CAB CPU); adapts down once samples arrive.
-  sim::SimTime initial_rto = sim::msec(50);
-  sim::SimTime max_rto = sim::msec(500);
-  sim::SimTime time_wait = sim::msec(10);  ///< 2*MSL scaled to simulation RTTs
 };
 
 /// TCP on the CAB (paper §4.2).
@@ -161,7 +151,6 @@ class Tcp {
 
   core::CabRuntime& runtime() { return ip_.runtime(); }
   const Config& config() const { return config_; }
-  void set_software_checksum(bool on) { config_.software_checksum = on; }
 
   // --- user interface -------------------------------------------------------
 

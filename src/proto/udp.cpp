@@ -14,10 +14,7 @@ namespace nectar::proto {
 
 namespace costs = sim::costs;
 
-Udp::Udp(Ip& ip, bool checksum_enabled)
-    : ip_(ip),
-      input_(ip.runtime().create_mailbox("udp-input")),
-      checksum_enabled_(checksum_enabled) {
+Udp::Udp(Ip& ip) : ip_(ip), input_(ip.runtime().create_mailbox("udp-input")) {
   ip_.register_protocol(kProtoUdp, &input_);
   // §4.1: "UDP and TCP each have their own server threads."
   ip_.runtime().fork_system("udp-server", [this] { server_loop(); });
@@ -64,7 +61,7 @@ void Udp::send(std::uint16_t src_port, IpAddr dst, std::uint16_t dst_port, core:
   std::span<std::uint8_t> hdr = lease->push_front(UdpHeader::kSize);
   uh.serialize(hdr);
 
-  if (checksum_enabled_) {
+  {  // the checksum's cost scope closes before IP output
     obs::CostScope cksum("udp/checksum");
     cpu.charge(checksum_cost(UdpHeader::kSize + data.len + PseudoHeader::kSize));
     PseudoHeader ph{ip_.address(), dst, kProtoUdp, uh.length};
@@ -105,7 +102,7 @@ void Udp::server_loop() {
     IpHeader iph = IpHeader::parse(mem.view(m.data, IpHeader::kSize));
     UdpHeader uh = UdpHeader::parse(mem.view(m.data + IpHeader::kSize, UdpHeader::kSize));
 
-    if (checksum_enabled_ && uh.checksum != 0) {
+    if (uh.checksum != 0) {
       obs::CostScope cksum("udp/checksum");
       std::size_t udp_len = m.len - IpHeader::kSize;
       cpu.charge(checksum_cost(udp_len + PseudoHeader::kSize));

@@ -15,7 +15,7 @@ class Icmp;
 /// the destination port.
 class Udp {
  public:
-  explicit Udp(Ip& ip, bool checksum_enabled = true);
+  explicit Udp(Ip& ip);
 
   Udp(const Udp&) = delete;
   Udp& operator=(const Udp&) = delete;
@@ -49,7 +49,6 @@ class Udp {
   static core::Message payload_of(core::Message m);
 
   core::Mailbox& input_mailbox() { return input_; }
-  bool checksum_enabled() const { return checksum_enabled_; }
 
   std::uint64_t datagrams_sent() const { return sent_; }
   std::uint64_t datagrams_delivered() const { return delivered_; }
@@ -64,7 +63,6 @@ class Udp {
   Ip& ip_;
   core::Mailbox& input_;
   Icmp* icmp_ = nullptr;
-  bool checksum_enabled_;
   std::map<std::uint16_t, core::Mailbox*> ports_;
 
   std::uint64_t sent_ = 0;

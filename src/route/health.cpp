@@ -20,6 +20,8 @@ namespace {
 constexpr std::uint32_t kProbeBytes = 24;
 constexpr std::uint8_t kProbeReq = 1;
 constexpr std::uint8_t kProbeResp = 2;
+/// probe_interval multiplier for Dead paths.
+constexpr double kDeadBackoff = 4.0;
 
 std::uint32_t read32(std::span<const std::uint8_t> v, std::size_t off) {
   return static_cast<std::uint32_t>(v[off]) | static_cast<std::uint32_t>(v[off + 1]) << 8 |
@@ -93,7 +95,7 @@ void HealthMonitor::prober_loop() {
 
 sim::SimTime interval_for(const RoutingConfig& cfg, PathState s) {
   if (s != PathState::Dead) return cfg.probe_interval;
-  return static_cast<sim::SimTime>(static_cast<double>(cfg.probe_interval) * cfg.dead_backoff);
+  return static_cast<sim::SimTime>(static_cast<double>(cfg.probe_interval) * kDeadBackoff);
 }
 
 void HealthMonitor::send_probe(Target& t) {
@@ -140,8 +142,6 @@ void HealthMonitor::handle_miss(Target& t) {
   if (t.state != PathState::Dead && t.misses >= cfg_.dead_after) {
     t.state = PathState::Dead;
     listener_.on_path_dead(node(), t.dst, t.path, t.first_miss_sent_at);
-  } else if (t.state == PathState::Up && t.misses >= cfg_.suspect_after) {
-    t.state = PathState::Suspect;
   }
   t.next_send = t.sent_at + interval_for(cfg_, t.state);
 }
@@ -157,9 +157,6 @@ void HealthMonitor::handle_success(Target& t) {
       t.successes = 0;
       listener_.on_path_recovered(node(), t.dst, t.path);
     }
-  } else {
-    t.state = PathState::Up;
-    t.successes = 0;
   }
   t.next_send = t.sent_at + interval_for(cfg_, t.state);
 }

@@ -13,9 +13,8 @@
 // State machine per (peer, path), driven by consecutive misses/successes
 // (hysteresis so one dropped probe does not flap routes):
 //
-//     Up --misses >= suspect_after--> Suspect --misses >= dead_after--> Dead
-//     Suspect --1 success--> Up
-//     Dead --successes >= recover_after--> Up      (probed at backoff rate)
+//     Up --misses >= dead_after--> Dead            (a success resets misses)
+//     Dead --successes >= recover_after--> Up      (probed at 4x the interval)
 //
 // Dead and recovered transitions are reported to a HealthListener (the
 // RouteManager), carrying the send time of the first missed probe so the
@@ -40,15 +39,12 @@ struct RoutingConfig {
   int paths = 2;                    ///< ECMP set size (PathDb k)
   sim::SimTime probe_interval = sim::msec(5);
   sim::SimTime probe_timeout = sim::msec(2);
-  int suspect_after = 1;            ///< consecutive misses to enter Suspect
   int dead_after = 3;               ///< consecutive misses to declare Dead
   int recover_after = 2;            ///< consecutive successes to leave Dead
-  double dead_backoff = 4.0;        ///< probe_interval multiplier for Dead paths
-  bool revert = true;               ///< reinstall the preferred path on recovery
   std::uint64_t seed = 1;           ///< PathDb tie-break / ECMP spread seed
 };
 
-enum class PathState : std::uint8_t { Up, Suspect, Dead };
+enum class PathState : std::uint8_t { Up, Dead };
 
 /// Receives path state transitions (on the prober thread of the reporting
 /// node, at the simulated time of detection).

@@ -124,7 +124,7 @@ void RouteManager::on_path_recovered(int node, int dst, int path) {
     log("route.failover", node, dst, path);
     return;
   }
-  if (cfg_.revert && path == paths_->preferred(node, dst)) {
+  if (path == paths_->preferred(node, dst)) {
     install(node, dst, path);
     ++reverts_;
     log("route.revert", node, dst, path);

@@ -6,7 +6,7 @@
 // route tables) at start(), and on a Dead report fails the pair over to the
 // first surviving path — in-flight TCP/RMP traffic simply starts taking the
 // new source route on its next (re)transmission, no connection state is
-// touched. On recovery it reverts to the preferred path (configurable).
+// touched. On recovery it reverts to the preferred path.
 // Each decision goes to the deciding node's event log as "route.failover",
 // "route.revert" or "route.no_path" (every path dead; the stale route was
 // kept), with detail "dst=<d> path=<p>".

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <concepts>
 #include <fstream>
 #include <functional>
 #include <limits>
@@ -31,10 +32,17 @@ T get_fitting(const Section& s, const char* key, T fallback) {
 
 /// A duration member: sim::SimTime is std::int64_t, so a duration row needs
 /// its own type to parse "5ms" rather than a bare integer.
-template <class Spec>
+template <class Of>
 struct Time {
-  sim::SimTime Spec::*member;
+  sim::SimTime Of::*member;
 };
+
+/// A row's member belongs to its section's spec or to the library config the
+/// spec extends (SessionsSpec is a session::SessionConfig plus the
+/// SessionDriver's traffic shape), so the key binds straight into the struct
+/// that reads it.
+template <class Of, class Spec>
+concept MemberOf = std::derived_from<Spec, Of>;
 
 /// The values a numeric row accepts, [lo, hi]; a row without one accepts
 /// whatever its member holds. A double holds every bound the tables use
@@ -60,8 +68,8 @@ struct Key {
   using Check = std::function<void(const char* section, const char* key, const Spec&)>;
 
   /// A string, bool, floating-point or integer member.
-  template <class T>
-  Key(const char* n, T Spec::*m)
+  template <class T, MemberOf<Spec> Of>
+  Key(const char* n, T Of::*m)
       : name(n), set([m](const Section& s, const char* k, Spec& spec) {
           T& v = spec.*m;
           if constexpr (std::is_same_v<T, std::string>) {
@@ -75,8 +83,8 @@ struct Key {
             v = get_fitting(s, k, v);
           }
         }) {}
-  template <class T>
-  Key(const char* n, T Spec::*m, Range r) : Key(n, m) {
+  template <class T, MemberOf<Spec> Of>
+  Key(const char* n, T Of::*m, Range r) : Key(n, m) {
     check = bounded(m, r, std::is_integral_v<T> ? "an integer" : "a number", "");
   }
   /// A string member that may not be left empty.
@@ -86,11 +94,13 @@ struct Key {
       if ((spec.*m).empty()) throw std::runtime_error(value_error(section, k, "a value", ""));
     };
   }
-  Key(const char* n, Time<Spec> t)
+  template <MemberOf<Spec> Of>
+  Key(const char* n, Time<Of> t)
       : name(n), set([m = t.member](const Section& s, const char* k, Spec& spec) {
           spec.*m = s.get_time(k, spec.*m);
         }) {}
-  Key(const char* n, Time<Spec> t, Range r) : Key(n, t) {
+  template <MemberOf<Spec> Of>
+  Key(const char* n, Time<Of> t, Range r) : Key(n, t) {
     check = bounded(t.member, r, "a duration", "ns");
   }
   /// An enum member, spelled as in `names`. A required key has no default:
@@ -116,8 +126,8 @@ struct Key {
   Check check;  ///< empty: any value the member holds passes
 
  private:
-  template <class T>
-  static Check bounded(T Spec::*m, Range r, const char* noun, const char* unit) {
+  template <class T, class Of>
+  static Check bounded(T Of::*m, Range r, const char* noun, const char* unit) {
     return [m, r, noun, unit](const char* section, const char* k, const Spec& spec) {
       const T v = spec.*m;
       if (r.lo <= v && v <= r.hi) return;  // false for nan too
@@ -303,7 +313,7 @@ const Table<TracingSpec> kTracingKeys{"tracing", {
     {"enabled", &TracingSpec::enabled},
     {"sample", &TracingSpec::sample, {.lo = 0.0, .hi = 1.0}},
     {"top_k", &TracingSpec::top_k, {.lo = 0}},
-    {"max_traces", &TracingSpec::max_traces, {.lo = 0}},
+    {"max_traces", &TracingSpec::max_traces},
     {"artifact", &TracingSpec::artifact},
 }};
 
@@ -455,11 +465,8 @@ Scenario::Scenario(ScenarioSpec spec) : spec_(std::move(spec)), net_(spec_.paral
     // Sampling derives from the scenario master seed like every other random
     // stream; activation makes the process-global instrumentation sites live
     // for the duration of this Scenario (the destructor deactivates).
-    obs::CausalTracer::Options topt;
-    topt.sample = spec_.tracing.sample;
-    topt.max_traces = static_cast<std::size_t>(spec_.tracing.max_traces);
-    tracer_ = std::make_unique<obs::CausalTracer>(net_.engine(),
-                                                  sim::derive_seed(spec_.seed, "tracing"), topt);
+    tracer_ = std::make_unique<obs::CausalTracer>(
+        net_.engine(), sim::derive_seed(spec_.seed, "tracing"), spec_.tracing);
     tracer_->activate();
   }
   faults_ = std::make_unique<FaultScheduler>(net_, spec_.seed);
@@ -503,11 +510,7 @@ Scenario::Scenario(ScenarioSpec spec) : spec_(std::move(spec)), net_(spec_.paral
     net_.register_substrate_metrics();
     telemetry_reg_ = obs::Registration(net_.metrics());
     for (auto& w : workloads_) w->register_metrics(telemetry_reg_);
-    obs::Sampler::Options sopt;
-    sopt.interval = spec_.telemetry.interval;
-    sopt.max_samples = static_cast<std::size_t>(spec_.telemetry.max_samples);
-    sopt.include = spec_.telemetry.include;
-    sampler_ = std::make_unique<obs::Sampler>(net_.metrics(), sopt);
+    sampler_ = std::make_unique<obs::Sampler>(net_.metrics(), spec_.telemetry);
     if (spec_.telemetry.audit) {
       auditor_ = std::make_unique<obs::Auditor>(&net_.metrics());
       net_.register_audit(*auditor_);

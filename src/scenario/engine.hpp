@@ -59,19 +59,21 @@ struct ProfileSpec {
   bool enabled() const { return !folded.empty() || !timeline.empty(); }
 };
 
-/// Causal-tracing switches ([tracing] section). Default-off: with
-/// enabled=false no CausalTracer exists, every instrumentation site is one
-/// failed pointer test, no stamp bytes ride the wire, and reports carry no
-/// tailtrace.* rows — so pre-existing scenarios stay byte-identical.
-struct TracingSpec {
+/// Causal tracing ([tracing] section): the obs::CausalTracer::Options the
+/// tracer takes (`sample`, `max_traces` bind straight into it), plus the
+/// artifact's switches. Default-off: with enabled=false no CausalTracer
+/// exists, every instrumentation site is one failed pointer test, no stamp
+/// bytes ride the wire, and reports carry no tailtrace.* rows — so
+/// pre-existing scenarios stay byte-identical.
+struct TracingSpec : obs::CausalTracer::Options {
   bool enabled = false;
-  double sample = 0.01;            ///< head-sampling probability per message
   std::int64_t top_k = 10;         ///< slowest deliveries kept per flow in the artifact
-  std::int64_t max_traces = 4096;  ///< stop starting new traces past this
   std::string artifact;            ///< tail-trace JSON file ("" = report rows only)
 };
 
-/// Continuous telemetry ([telemetry] section). Default-off: with
+/// Continuous telemetry ([telemetry] section): the obs::Sampler::Options the
+/// sampler takes (`interval`, `max_samples`, `include` bind straight into
+/// it), plus the artifacts and the auditor switch. Default-off: with
 /// enabled=false no Sampler or Auditor exists, run() drives the clock in one
 /// run_until, and pre-existing scenarios stay byte-identical. Enabled, the
 /// run is stepped `interval` at a time: every metric is sampled into a
@@ -81,17 +83,11 @@ struct TracingSpec {
 /// shards > 1 it caps the synchronization window at `interval`, so
 /// telemetry-on parallel runs are deterministic but comparable only with
 /// other telemetry-on runs.
-struct TelemetrySpec {
+struct TelemetrySpec : obs::Sampler::Options {
   bool enabled = false;
-  sim::SimTime interval = sim::msec(10);  ///< sample cadence (sim time)
   std::string artifact;                   ///< time-series JSON ("" = rows only)
   bool audit = true;                      ///< run the conservation auditor
   std::string audit_artifact;             ///< audit JSON ("" = rows only)
-  std::int64_t max_samples = 4096;        ///< ring capacity per series
-  /// Optional comma-separated filter: substring match on a series'
-  /// "component.name" and on a mark's kind; empty records everything not
-  /// excluded by default.
-  std::vector<std::string> include;
 };
 
 struct ScenarioSpec {

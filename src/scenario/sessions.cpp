@@ -1,53 +1,22 @@
 #include "scenario/sessions.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 #include <stdexcept>
 #include <string>
 
+#include "scenario/workload.hpp"
 #include "sim/random.hpp"
 
 namespace nectar::scenario {
 
 namespace {
 
-// Stamp codec, same little-endian layout as the workload header so report
-// readers only learn one convention: [u32 global channel][u32 seq][u64 t_send].
-void pack32(std::uint8_t* p, std::uint32_t v) {
-  p[0] = static_cast<std::uint8_t>(v);
-  p[1] = static_cast<std::uint8_t>(v >> 8);
-  p[2] = static_cast<std::uint8_t>(v >> 16);
-  p[3] = static_cast<std::uint8_t>(v >> 24);
-}
-
-void pack64(std::uint8_t* p, std::uint64_t v) {
-  pack32(p, static_cast<std::uint32_t>(v));
-  pack32(p + 4, static_cast<std::uint32_t>(v >> 32));
-}
-
-std::uint32_t unpack32(const std::uint8_t* p) {
-  return static_cast<std::uint32_t>(p[0]) | (static_cast<std::uint32_t>(p[1]) << 8) |
-         (static_cast<std::uint32_t>(p[2]) << 16) | (static_cast<std::uint32_t>(p[3]) << 24);
-}
-
-std::uint64_t unpack64(const std::uint8_t* p) {
-  return static_cast<std::uint64_t>(unpack32(p)) |
-         (static_cast<std::uint64_t>(unpack32(p + 4)) << 32);
-}
-
 // A driver fiber may first get the CPU after its absolute start time has
 // already passed (startup charges advance the clock); sleeping into the past
 // throws, so absolute waits clamp to "now or later".
 void sleep_until_at_least(core::CabRuntime& rt, sim::SimTime t) {
   if (t > rt.engine().now()) rt.cpu().sleep_until(t);
-}
-
-sim::SimTime exp_draw(sim::Random& rng, double mean_ns) {
-  double t = -std::log(1.0 - rng.next_double()) * mean_ns;
-  if (t < 0.0) t = 0.0;
-  if (t > 9.0e15) t = 9.0e15;
-  return static_cast<sim::SimTime>(t);
 }
 
 }  // namespace
@@ -66,14 +35,6 @@ SessionDriver::SessionDriver(net::Network& net, std::vector<net::NodeStack*> sta
                              " nodes");
   }
 
-  session::SessionConfig cfg;
-  cfg.initial_credit = static_cast<std::uint32_t>(spec_.initial_credit);
-  cfg.send_window = static_cast<std::uint32_t>(spec_.send_window);
-  cfg.max_batch = static_cast<std::uint32_t>(spec_.max_batch);
-  cfg.max_channels = static_cast<std::uint32_t>(spec_.max_channels);
-  cfg.aggregation = spec_.aggregation;
-  cfg.fail_timeout = spec_.fail_timeout;
-
   stats_.assign(static_cast<std::size_t>(node_count_) * static_cast<std::size_t>(spec_.channels),
                 ChannelStat{});
   probes_.assign(
@@ -84,7 +45,7 @@ SessionDriver::SessionDriver(net::Network& net, std::vector<net::NodeStack*> sta
   for (int i = 0; i < node_count_; ++i) {
     auto n = std::make_unique<NodeState>();
     n->mgr = std::make_unique<session::SessionManager>(
-        net_.runtime(i), i, stacks_[static_cast<std::size_t>(i)]->rmp, cfg);
+        net_.runtime(i), i, stacks_[static_cast<std::size_t>(i)]->rmp, spec_);
     n->chans.assign(static_cast<std::size_t>(spec_.channels), Channel{});
     nodes_.push_back(std::move(n));
   }
@@ -142,10 +103,11 @@ void SessionDriver::install_callbacks(int node) {
   };
   mgr.on_deliver = [this, node](int, std::uint16_t, std::uint8_t,
                                 std::span<const std::uint8_t> payload) {
-    if (payload.size() < kStampBytes) return;
-    std::uint32_t gid = unpack32(payload.data());
+    if (payload.size() < Stamp::kBytes) return;
+    const Stamp stamp = Stamp::read(payload.data());
+    const std::uint32_t gid = stamp.src;
     if (gid >= stats_.size()) return;
-    auto sent_ns = static_cast<sim::SimTime>(unpack64(payload.data() + 8));
+    auto sent_ns = static_cast<sim::SimTime>(stamp.sent_ns);
     sim::SimTime now = runtime(node).engine().now();
     if (sent_ns <= 0 || sent_ns > now) return;
     ChannelStat& st = stats_[gid];
@@ -202,9 +164,9 @@ void SessionDriver::generator_loop(int node) {
       ++st.shed;
       continue;
     }
-    pack32(payload.data(), global_channel(node, c));
-    pack32(payload.data() + 4, static_cast<std::uint32_t>(st.sent));
-    pack64(payload.data() + 8, static_cast<std::uint64_t>(rt.engine().now()));
+    Stamp{global_channel(node, c), static_cast<std::uint32_t>(st.sent),
+          static_cast<std::uint64_t>(rt.engine().now())}
+        .write(payload.data());
     switch (n.mgr->try_send(ch.handle, payload)) {
       case session::SendResult::Ok:
         ++st.sent;

@@ -5,7 +5,8 @@
 // and multiplexes `channels` logical client channels over them — the
 // "thousands of endpoints per CAB" shape the session layer exists for
 // (docs/SESSIONS.md). One open-loop generator thread per node round-robins
-// small stamped messages across its channels; optional churn threads
+// small messages across its channels, each carrying the workload's Stamp
+// with the global channel id as its source; optional churn threads
 // close/reopen random channels (exercising id reuse + generation tags) and
 // an optional scripted stall freezes the inbound credit of the first wire
 // ids on trunk 0 — the no-head-of-line-blocking experiment: victims starve,
@@ -30,7 +31,9 @@
 
 namespace nectar::scenario {
 
-struct SessionsSpec {
+/// [sessions]: the session::SessionConfig every node's SessionManager takes
+/// (its keys bind straight into it), plus the SessionDriver's traffic shape.
+struct SessionsSpec : session::SessionConfig {
   bool enabled = false;
   std::int64_t trunks = 4;          ///< trunk connections per node pair
   std::int64_t channels = 1000;     ///< logical channels per node
@@ -38,12 +41,6 @@ struct SessionsSpec {
   double rate = 1000.0;             ///< data messages/sec per node (round-robin)
   std::int64_t size = 64;           ///< payload bytes (>= 16 for the stamp)
   sim::SimTime warmup = sim::msec(50);  ///< opens (at t=0) to data gap
-  std::int64_t initial_credit = 32;
-  std::int64_t send_window = 32;
-  std::int64_t max_batch = 4096;
-  std::int64_t max_channels = 60000;  ///< inbound admission cap per trunk
-  sim::SimTime aggregation = sim::usec(20);  ///< pumper batching window
-  sim::SimTime fail_timeout = sim::msec(25);
   double churn_rate = 0.0;          ///< close+reopen ops/sec per node
   sim::SimTime churn_start = 0;
   sim::SimTime churn_duration = 0;  ///< 0 = until the run ends
@@ -77,8 +74,6 @@ class SessionDriver {
   void report_into(obs::RunReport& rep);
 
  private:
-  static constexpr std::uint32_t kStampBytes = 16;  // [u32 global ch][u32 seq][u64 t_send]
-
   /// Written from two sides, shard-safely: the owning sender writes
   /// sent/shed/opens/fails, the receiving node writes delivered/lat_* —
   /// distinct fields, distinct writer shards, read only after the run.

@@ -18,22 +18,32 @@ void pack32(std::uint8_t* p, std::uint32_t v) {
   p[3] = static_cast<std::uint8_t>(v >> 24);
 }
 
-void pack64(std::uint8_t* p, std::uint64_t v) {
-  pack32(p, static_cast<std::uint32_t>(v));
-  pack32(p + 4, static_cast<std::uint32_t>(v >> 32));
-}
-
 std::uint32_t unpack32(const std::uint8_t* p) {
   return static_cast<std::uint32_t>(p[0]) | (static_cast<std::uint32_t>(p[1]) << 8) |
          (static_cast<std::uint32_t>(p[2]) << 16) | (static_cast<std::uint32_t>(p[3]) << 24);
 }
 
-std::uint64_t unpack64(const std::uint8_t* p) {
-  return static_cast<std::uint64_t>(unpack32(p)) |
-         (static_cast<std::uint64_t>(unpack32(p + 4)) << 32);
+}  // namespace
+
+void Stamp::write(std::uint8_t* p) const {
+  pack32(p, src);
+  pack32(p + 4, seq);
+  pack32(p + 8, static_cast<std::uint32_t>(sent_ns));
+  pack32(p + 12, static_cast<std::uint32_t>(sent_ns >> 32));
 }
 
-}  // namespace
+Stamp Stamp::read(const std::uint8_t* p) {
+  return Stamp{unpack32(p), unpack32(p + 4),
+               static_cast<std::uint64_t>(unpack32(p + 8)) |
+                   (static_cast<std::uint64_t>(unpack32(p + 12)) << 32)};
+}
+
+sim::SimTime exp_draw(sim::Random& rng, double mean_ns) {
+  double t = -std::log(1.0 - rng.next_double()) * mean_ns;
+  if (t < 0.0) t = 0.0;
+  if (t > 9.0e15) t = 9.0e15;
+  return static_cast<sim::SimTime>(t);
+}
 
 Workload::Workload(net::Network& net, std::vector<net::NodeStack*> stacks, WorkloadSpec spec,
                    std::uint64_t master_seed)
@@ -80,20 +90,13 @@ std::uint32_t Workload::pick_size(sim::Random& rng) const {
   auto v = static_cast<std::uint32_t>(
       rng.next_range(static_cast<std::int64_t>(spec_.size_min),
                      static_cast<std::int64_t>(spec_.size_max)));
-  return v < kHeaderBytes ? kHeaderBytes : v;
-}
-
-sim::SimTime Workload::exp_draw(sim::Random& rng, double mean_ns) const {
-  double t = -std::log(1.0 - rng.next_double()) * mean_ns;
-  if (t < 0.0) t = 0.0;
-  if (t > 9.0e15) t = 9.0e15;  // cap at ~104 days; keeps the cast defined
-  return static_cast<sim::SimTime>(t);
+  return v < Stamp::kBytes ? Stamp::kBytes : v;
 }
 
 std::optional<core::Message> Workload::stage(int node, core::Mailbox& scratch, std::size_t flow,
                                              std::uint32_t size, bool blocking,
                                              obs::TraceContext* tctx) {
-  if (size < kHeaderBytes) size = kHeaderBytes;
+  if (size < Stamp::kBytes) size = Stamp::kBytes;
   std::optional<core::Message> m;
   if (blocking) {
     m = scratch.begin_put(size);
@@ -109,11 +112,11 @@ std::optional<core::Message> Workload::stage(int node, core::Mailbox& scratch, s
       if (tctx->valid()) ct->stage(*tctx, "tx.app", "node" + std::to_string(f.src));
     }
   }
-  std::uint8_t hdr[kHeaderBytes];
-  pack32(hdr, static_cast<std::uint32_t>(flow_defs_[flow].src));
-  pack32(hdr + 4, static_cast<std::uint32_t>(st.sent));
-  pack64(hdr + 8, static_cast<std::uint64_t>(runtime(node).engine().now()));
-  net_.cab(node).memory().write(m->data, std::span<const std::uint8_t>(hdr, kHeaderBytes));
+  std::uint8_t hdr[Stamp::kBytes];
+  Stamp{static_cast<std::uint32_t>(flow_defs_[flow].src), static_cast<std::uint32_t>(st.sent),
+        static_cast<std::uint64_t>(runtime(node).engine().now())}
+      .write(hdr);
+  net_.cab(node).memory().write(m->data, hdr);
   if (spec_.proto == Proto::Tcp) {
     TcpLengths& t = tcp_lengths_[flow];
     std::lock_guard<std::mutex> g(t.mu);
@@ -125,10 +128,10 @@ std::optional<core::Message> Workload::stage(int node, core::Mailbox& scratch, s
 }
 
 void Workload::observe_delivery(int node, const core::Message& m) {
-  if (m.len < kHeaderBytes) return;
-  std::uint8_t hdr[kHeaderBytes];
-  net_.cab(node).memory().read(m.data, std::span<std::uint8_t>(hdr, kHeaderBytes));
-  credit(node, unpack32(hdr), static_cast<sim::SimTime>(unpack64(hdr + 8)), m.len, m.data);
+  if (m.len < Stamp::kBytes) return;
+  std::uint8_t hdr[Stamp::kBytes];
+  net_.cab(node).memory().read(m.data, hdr);
+  credit(node, Stamp::read(hdr), m.len, m.data);
 }
 
 void Workload::consume_tcp(int node, TcpStream& rx, const core::Message& chunk) {
@@ -136,13 +139,14 @@ void Workload::consume_tcp(int node, TcpStream& rx, const core::Message& chunk) 
   std::uint32_t n = chunk.len;
   while (n > 0) {
     std::uint32_t take;
-    if (rx.have < kHeaderBytes) {
-      take = std::min(n, kHeaderBytes - rx.have);
+    if (rx.have < Stamp::kBytes) {
+      take = std::min(n, Stamp::kBytes - rx.have);
       net_.cab(node).memory().read(at, std::span<std::uint8_t>(rx.hdr + rx.have, take));
       rx.have += take;
-      if (rx.have == kHeaderBytes) {
-        rx.len = take_tcp_length(unpack32(rx.hdr), unpack32(rx.hdr + 4));
-        rx.left = rx.len - kHeaderBytes;
+      if (rx.have == Stamp::kBytes) {
+        const Stamp s = Stamp::read(rx.hdr);
+        rx.len = take_tcp_length(s.src, s.seq);
+        rx.left = rx.len - Stamp::kBytes;
       }
     } else {
       take = std::min(n, rx.left);
@@ -150,9 +154,8 @@ void Workload::consume_tcp(int node, TcpStream& rx, const core::Message& chunk) 
     }
     at += take;
     n -= take;
-    if (rx.have == kHeaderBytes && rx.left == 0) {
-      credit(node, unpack32(rx.hdr), static_cast<sim::SimTime>(unpack64(rx.hdr + 8)), rx.len,
-             chunk.data);
+    if (rx.have == Stamp::kBytes && rx.left == 0) {
+      credit(node, Stamp::read(rx.hdr), rx.len, chunk.data);
       rx.have = 0;
     }
   }
@@ -173,12 +176,12 @@ std::uint32_t Workload::take_tcp_length(std::uint32_t src, std::uint32_t seq) {
                          "/" + std::to_string(seq) + " was never staged");
 }
 
-void Workload::credit(int node, std::uint32_t src, sim::SimTime sent_ns, std::uint32_t bytes,
-                      hw::CabAddr data) {
-  if (src >= flow_of_src_.size()) return;
-  int fi = flow_of_src_[src];
+void Workload::credit(int node, const Stamp& s, std::uint32_t bytes, hw::CabAddr data) {
+  if (s.src >= flow_of_src_.size()) return;
+  int fi = flow_of_src_[s.src];
   if (fi < 0) return;
   sim::SimTime now = runtime(node).engine().now();
+  auto sent_ns = static_cast<sim::SimTime>(s.sent_ns);
   // A timestamp of 0 or from the future means this is not one of our
   // headers (a foreign payload).
   if (sent_ns <= 0 || sent_ns > now) return;
@@ -257,7 +260,7 @@ void Workload::reqresp_server(int node, core::Mailbox& svc) {
       svc.end_get(payload);
       // The client measures round-trip time itself; the reply only has to
       // exist.
-      core::Message reply = rsp_arena.begin_put(kHeaderBytes);
+      core::Message reply = rsp_arena.begin_put(Stamp::kBytes);
       stack(node).reqresp.respond(info, reply);
     }
   });
@@ -295,7 +298,6 @@ void Workload::install_servers() {
 
 void Workload::closed_user_loop(std::size_t flow, int user) {
   Flow& f = flow_defs_[flow];
-  FlowStats& st = flows_[flow];
   core::CabRuntime& rt = runtime(f.src);
   sim::Random rng(flow_seed(flow, "closed", user));
   core::Mailbox& scratch =
@@ -310,40 +312,7 @@ void Workload::closed_user_loop(std::size_t flow, int user) {
     std::uint32_t size = pick_size(rng);
     obs::TraceContext tctx;
     std::optional<core::Message> m = stage(f.src, scratch, flow, size, /*blocking=*/true, &tctx);
-    switch (spec_.proto) {
-      case Proto::Udp:
-        stack(f.src).udp.send(spec_.port, proto::ip_of_node(f.dst), spec_.port, *m, true, tctx);
-        break;
-      case Proto::Tcp:
-        stack(f.src).tcp.send(f.conn, *m, true, tctx);
-        stack(f.src).tcp.wait_drained(f.conn);
-        break;
-      case Proto::Datagram:
-        stack(f.src).datagram.send(f.sink, *m, true, 0, tctx);
-        break;
-      case Proto::Rmp:
-        stack(f.src).rmp.send(f.sink, *m, true, {}, tctx);
-        stack(f.src).rmp.wait_acked(f.dst);
-        break;
-      case Proto::ReqResp: {
-        sim::SimTime t0 = rt.engine().now();
-        try {
-          core::Message rsp = stack(f.src).reqresp.call(f.sink, *m, true, tctx);
-          st.latency.observe(rt.engine().now() - t0);
-          ++st.delivered;
-          st.delivered_bytes += size;
-          scratch.end_get(rsp);
-          // RPC latency is the client-side round trip; close the trace here
-          // rather than at a receive-side observe_delivery.
-          if (tctx.valid()) {
-            if (auto* ct = obs::CausalTracer::active()) ct->finish(tctx);
-          }
-        } catch (const std::runtime_error&) {
-          ++st.errors;
-        }
-        break;
-      }
-    }
+    send(flow, *m, size, tctx, scratch, /*wait=*/true);
     if (think > 0) rt.cpu().sleep_for(exp_draw(rng, static_cast<double>(think)));
   }
 }
@@ -383,45 +352,64 @@ bool Workload::open_send_once(std::size_t flow, core::Mailbox& scratch, sim::Ran
     ++st.shed;  // buffer heap exhausted
     return false;
   }
+  send(flow, *m, size, tctx, scratch, /*wait=*/false);
+  return true;
+}
+
+void Workload::send(std::size_t flow, core::Message m, std::uint32_t size, obs::TraceContext tctx,
+                    core::Mailbox& scratch, bool wait) {
+  Flow& f = flow_defs_[flow];
+  net::NodeStack& s = stack(f.src);
   switch (spec_.proto) {
     case Proto::Udp:
-      stack(f.src).udp.send(spec_.port, proto::ip_of_node(f.dst), spec_.port, *m, true, tctx);
+      s.udp.send(spec_.port, proto::ip_of_node(f.dst), spec_.port, m, true, tctx);
       break;
     case Proto::Tcp:
-      stack(f.src).tcp.send(f.conn, *m, true, tctx);
+      s.tcp.send(f.conn, m, true, tctx);
+      if (wait) s.tcp.wait_drained(f.conn);
       break;
     case Proto::Datagram:
-      stack(f.src).datagram.send(f.sink, *m, true, 0, tctx);
+      s.datagram.send(f.sink, m, true, 0, tctx);
       break;
     case Proto::Rmp:
-      stack(f.src).rmp.send(f.sink, *m, true, {}, tctx);
+      s.rmp.send(f.sink, m, true, {}, tctx);
+      if (wait) s.rmp.wait_acked(f.dst);
       break;
-    case Proto::ReqResp: {
+    case Proto::ReqResp:
+      if (wait) {
+        call_rpc(flow, m, size, tctx, scratch);
+        break;
+      }
       f.rpc_outstanding = true;
-      core::Message req = *m;
       runtime(f.src).fork_app("wl/" + spec_.name + "/rpc",
-                              [this, flow, size, &scratch, req, tctx] {
-        Flow& fl = flow_defs_[flow];
-        FlowStats& s = flows_[flow];
-        sim::SimTime t0 = runtime(fl.src).engine().now();
-        try {
-          core::Message rsp = stack(fl.src).reqresp.call(fl.sink, req, true, tctx);
-          s.latency.observe(runtime(fl.src).engine().now() - t0);
-          ++s.delivered;
-          s.delivered_bytes += size;
-          scratch.end_get(rsp);
-          if (tctx.valid()) {
-            if (auto* ct = obs::CausalTracer::active()) ct->finish(tctx);
-          }
-        } catch (const std::runtime_error&) {
-          ++s.errors;
-        }
-        fl.rpc_outstanding = false;
-      });
+                              [this, flow, m, size, tctx, &scratch] {
+                                call_rpc(flow, m, size, tctx, scratch);
+                                flow_defs_[flow].rpc_outstanding = false;
+                              });
       break;
-    }
   }
-  return true;
+}
+
+void Workload::call_rpc(std::size_t flow, core::Message req, std::uint32_t size,
+                        obs::TraceContext tctx, core::Mailbox& scratch) {
+  const Flow& f = flow_defs_[flow];
+  FlowStats& st = flows_[flow];
+  core::CabRuntime& rt = runtime(f.src);
+  sim::SimTime t0 = rt.engine().now();
+  try {
+    core::Message rsp = stack(f.src).reqresp.call(f.sink, req, true, tctx);
+    st.latency.observe(rt.engine().now() - t0);
+    ++st.delivered;
+    st.delivered_bytes += size;
+    scratch.end_get(rsp);
+    // RPC latency is the client-side round trip; close the trace here
+    // rather than at a receive-side observe_delivery.
+    if (tctx.valid()) {
+      if (auto* ct = obs::CausalTracer::active()) ct->finish(tctx);
+    }
+  } catch (const std::runtime_error&) {
+    ++st.errors;
+  }
 }
 
 void Workload::open_flow_loop(std::size_t flow) {

@@ -48,6 +48,23 @@ inline constexpr Named<Proto> kProtos[] = {
 };
 inline constexpr Named<Mode> kModes[] = {{Mode::Open, "open"}, {Mode::Closed, "closed"}};
 
+/// The measurement stamp at the head of every workload and session message,
+/// little-endian [u32 source][u32 seq][u64 send time, ns]; also the minimum
+/// payload size.
+struct Stamp {
+  static constexpr std::uint32_t kBytes = 16;
+  std::uint32_t src = 0;
+  std::uint32_t seq = 0;
+  std::uint64_t sent_ns = 0;
+
+  void write(std::uint8_t* p) const;
+  static Stamp read(const std::uint8_t* p);
+};
+
+/// An exponential interval of mean `mean_ns`, capped at ~104 days so the
+/// cast to SimTime stays defined.
+sim::SimTime exp_draw(sim::Random& rng, double mean_ns);
+
 struct WorkloadSpec {
   std::string name = "wl";
   Proto proto = Proto::Udp;
@@ -79,8 +96,6 @@ struct FlowStats {
 
 class Workload {
  public:
-  /// Embedded measurement header; also the minimum payload size.
-  static constexpr std::uint32_t kHeaderBytes = 16;
   /// Open-loop TCP guard: shed while more than this is queued-unacked.
   static constexpr std::uint32_t kTcpShedBytes = 256 * 1024;
   /// Open-loop RMP guard: shed while this many messages are queued.
@@ -138,7 +153,7 @@ class Workload {
   /// progress, the header bytes read so far, its length, and the bytes
   /// still to come.
   struct TcpStream {
-    std::uint8_t hdr[kHeaderBytes];
+    std::uint8_t hdr[Stamp::kBytes];
     std::uint32_t have = 0;
     std::uint32_t len = 0;
     std::uint32_t left = 0;
@@ -160,7 +175,6 @@ class Workload {
 
   std::uint64_t flow_seed(std::size_t flow, const char* role, int user) const;
   std::uint32_t pick_size(sim::Random& rng) const;
-  sim::SimTime exp_draw(sim::Random& rng, double mean_ns) const;
 
   /// Stage a message with the measurement header in `scratch`; nullopt when
   /// the buffer heap is exhausted (open-loop shed). When a tracer is active,
@@ -180,10 +194,9 @@ class Workload {
   /// Remove and return the length of TCP message (src, seq); throws
   /// std::logic_error when no flow staged it (the stream lost its framing).
   std::uint32_t take_tcp_length(std::uint32_t src, std::uint32_t seq);
-  /// Credit one delivered message of `bytes` from node `src`, sent at
-  /// `sent_ns`; `data` is an address in the received buffer (trace lookup).
-  void credit(int node, std::uint32_t src, sim::SimTime sent_ns, std::uint32_t bytes,
-              hw::CabAddr data);
+  /// Credit one delivered message of `bytes` stamped `s`; `data` is an
+  /// address in the received buffer (trace lookup).
+  void credit(int node, const Stamp& s, std::uint32_t bytes, hw::CabAddr data);
 
   void install_servers();
   void install_clients();
@@ -194,6 +207,14 @@ class Workload {
   void closed_user_loop(std::size_t flow, int user);
   void open_flow_loop(std::size_t flow);
   bool open_send_once(std::size_t flow, core::Mailbox& scratch, sim::Random& rng);
+  /// Hand staged message `m` (`size` bytes, staged in `scratch`) to the
+  /// flow's protocol. A closed-loop user (`wait`) blocks until it completes;
+  /// an open-loop source returns at once, an RPC running on its own thread.
+  void send(std::size_t flow, core::Message m, std::uint32_t size, obs::TraceContext tctx,
+            core::Mailbox& scratch, bool wait);
+  /// One RPC: the client-side round trip is the message's latency.
+  void call_rpc(std::size_t flow, core::Message req, std::uint32_t size, obs::TraceContext tctx,
+                core::Mailbox& scratch);
 
   net::Network& net_;
   std::vector<net::NodeStack*> stacks_;

@@ -10,6 +10,21 @@ namespace nectar::session {
 
 namespace costs = sim::costs;
 
+namespace {
+
+/// WDRR bytes per weight unit per visit.
+constexpr std::uint32_t kQuantum = 256;
+/// Trunk messages queued per RMP peer before the pumper paces. RMP is
+/// stop-and-wait per destination, so depth beyond "one in flight, one
+/// staged" buys no pipelining — it only lets the pumper ship tiny batches
+/// as fast as producers trickle, and the per-message overhead then starves
+/// the producers of CPU (1 frame/msg lockstep). A cap of 2 makes the
+/// pumper block for a full trunk RTT while frames accumulate into big
+/// batches.
+constexpr std::size_t kRmpQueueCap = 2;
+
+}  // namespace
+
 SessionManager::SessionManager(core::CabRuntime& rt, int node, nproto::Rmp& rmp,
                                SessionConfig cfg)
     : rt_(rt),
@@ -251,7 +266,7 @@ void SessionManager::pump_loop(int trunk) {
     if (t.failed) return;
     // Pace against the trunk transport before composing the next batch, so
     // frames keep accumulating (and batches keep growing) while it is busy.
-    rmp_.wait_queue_below(t.peer, cfg_.rmp_queue_cap);
+    rmp_.wait_queue_below(t.peer, kRmpQueueCap);
     if (t.failed) return;
     emit_batch(trunk);
   }
@@ -293,7 +308,7 @@ std::vector<SessionManager::PlannedFrame> SessionManager::plan_batch(Trunk& t) {
           }
           continue;
         }
-        c.deficit += cfg_.quantum * c.weight;
+        c.deficit += kQuantum * c.weight;
         while (c.pend_head < c.pending.size()) {
           Staged& s = c.pending[c.pend_head];
           std::size_t cost = FrameHeader::kSize + s.bytes.size();

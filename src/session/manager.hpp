@@ -41,19 +41,9 @@ namespace nectar::session {
 /// -message channels per node over single-digit trunks.
 struct SessionConfig {
   std::uint32_t initial_credit = 32;   ///< messages the receiver grants at OPEN_ACK
-  std::uint32_t credit_refresh = 0;    ///< consumed messages per CREDIT frame (0 = initial/2)
   std::uint32_t send_window = 32;      ///< staged messages per channel before backpressure
   std::uint32_t max_batch = 4096;      ///< frame bytes per trunk message
   std::uint32_t max_channels = 60000;  ///< inbound admission cap per trunk
-  std::uint32_t quantum = 256;         ///< WDRR bytes per weight unit per visit
-  /// Trunk messages queued per RMP peer before the pumper paces. RMP is
-  /// stop-and-wait per destination, so depth beyond "one in flight, one
-  /// staged" buys no pipelining — it only lets the pumper ship tiny batches
-  /// as fast as producers trickle, and the per-message overhead then starves
-  /// the producers of CPU (1 frame/msg lockstep). A cap of 2 makes the
-  /// pumper block for a full trunk RTT while frames accumulate into big
-  /// batches.
-  std::size_t rmp_queue_cap = 2;
   /// How long the pumper lingers after waking with work before composing a
   /// batch. Producers run below the trunk's interrupt processing, so without
   /// this window a lone staged frame ships immediately, the per-message
@@ -65,10 +55,8 @@ struct SessionConfig {
   sim::SimTime aggregation = sim::usec(20);
   sim::SimTime fail_timeout = sim::msec(25);  ///< no-progress window before a trunk fails
 
-  std::uint32_t refresh() const {
-    return credit_refresh != 0 ? credit_refresh
-                               : (initial_credit > 1 ? initial_credit / 2 : 1);
-  }
+  /// Consumed messages per CREDIT frame: half the initial grant.
+  std::uint32_t refresh() const { return initial_credit > 1 ? initial_credit / 2 : 1; }
 };
 
 /// Outcome of try_send: Backpressure is the send-window stall surfaced to

@@ -217,6 +217,11 @@ TEST(ConfigTest, EveryBoundIsEnforced) {
       {"tracing", "max_traces", "0", "-1"},
       {"sessions", "size", "4086", "4087", "max_batch = 4096\n"},  // a 10-byte frame header
       {"sessions", "probe_channels", "10", "11", "channels = 10\n"},
+      // session::SessionConfig holds these four in 32 bits.
+      {"sessions", "initial_credit", "4294967295", "4294967296"},
+      {"sessions", "send_window", "4294967295", "4294967296"},
+      {"sessions", "max_batch", "4294967295", "4294967306"},
+      {"sessions", "max_channels", "4294967295", "4294967296"},
   };
   for (const Case& c : cases) {
     auto ini = [&c](const char* value) {

@@ -34,5 +34,34 @@ size = 12288
   EXPECT_EQ(wl.latency().count(), wl.delivered());
 }
 
+// An open-loop RPC runs on a thread of its own, and its flow sheds while the
+// call is outstanding; the client-side round trip is the latency sample.
+TEST(ScenarioWorkloadTest, OpenLoopRpcShedsWhileACallIsOutstanding) {
+  ScenarioSpec spec = ScenarioSpec::from_config(Config::parse_string(R"(
+[scenario]
+name = rpc-open
+seed = 3
+duration = 200ms
+
+[topology]
+kind = star
+nodes = 4
+
+[workload]
+name = rpc
+proto = reqresp
+mode = open
+users = 2
+rate = 200
+)"));
+  Scenario sc(std::move(spec));
+  sc.run();
+  const Workload& wl = *sc.workloads().at(0);
+  ASSERT_GT(wl.delivered(), 0u);
+  EXPECT_LE(wl.delivered(), wl.sent());
+  EXPECT_EQ(wl.latency().count(), wl.delivered());
+  EXPECT_GT(wl.shed(), 0u);
+}
+
 }  // namespace
 }  // namespace nectar::scenario
