@@ -5,7 +5,8 @@
 
 namespace nectar::hw {
 
-/// CRC-32 (IEEE 802.3 polynomial), table-driven.
+/// CRC-32 (IEEE 802.3 polynomial), slice-by-8: eight bytes per step through
+/// eight constexpr tables, then the tail a byte at a time.
 ///
 /// The CAB computes cyclic redundancy checksums for incoming and outgoing
 /// data in hardware (paper §2.2), so the runtime charges *zero CPU time* for

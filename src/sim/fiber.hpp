@@ -1,16 +1,16 @@
 #pragma once
 
+#if !defined(__x86_64__)
 #include <ucontext.h>
+#endif
 
 #include <cstddef>
 #include <functional>
-#include <memory>
 #include <string>
-#include <vector>
 
 namespace nectar::sim {
 
-/// Cooperative green thread (ucontext-based).
+/// Cooperative green thread.
 ///
 /// Fibers are the execution substrate for simulated CAB threads, interrupt
 /// contexts, and host processes. Each fiber belongs to exactly one OS
@@ -20,14 +20,24 @@ namespace nectar::sim {
 /// runtime primitive), at which point control returns to whoever called
 /// `resume()` — always the event engine's main context on the same thread.
 ///
-/// Under ThreadSanitizer the stack switches are annotated with TSan's fiber
-/// API so cross-shard race detection keeps working instead of false-alarming
-/// on every swapcontext.
+/// On x86-64 a switch is a plain function call (`sim/fiber_switch.S`): it
+/// pushes the callee-saved registers and the floating-point control words,
+/// swaps the stack pointer and pops the other side's, with no system call.
+/// Other targets switch with ucontext. Each fiber runs on its own mapping of
+/// `kStackSize` bytes above an inaccessible guard page: pages are committed
+/// only when the fiber touches them, and an overflow faults on the guard
+/// page instead of overwriting whatever lies below.
+///
+/// Under ThreadSanitizer and AddressSanitizer the stack switches are
+/// annotated with each sanitizer's fiber API, so race detection and stack
+/// bookkeeping follow the fiber instead of false-alarming on every switch.
 class Fiber {
  public:
+  /// Usable stack bytes per fiber.
+  static constexpr std::size_t kStackSize = 256 * 1024;
+
   /// Create a fiber that will run `body` when first resumed.
-  explicit Fiber(std::function<void()> body, std::string name = "fiber",
-                 std::size_t stack_size = 256 * 1024);
+  explicit Fiber(std::function<void()> body, std::string name = "fiber");
   ~Fiber();
 
   Fiber(const Fiber&) = delete;
@@ -48,13 +58,23 @@ class Fiber {
   const std::string& name() const { return name_; }
 
  private:
-  static void trampoline();
+#if defined(__x86_64__)
+  /// The stack pointer a switched-out side was left at; its registers sit
+  /// on the stack above it.
+  using Context = void*;
+#else
+  using Context = ucontext_t;
+#endif
+
+  [[noreturn]] static void trampoline();
+  /// From inside the fiber: switch back to its resumer.
+  void switch_out();
 
   std::function<void()> body_;
   std::string name_;
-  std::vector<unsigned char> stack_;
-  ucontext_t context_{};
-  ucontext_t return_context_{};
+  unsigned char* stack_ = nullptr;  // lowest usable byte; the guard page is below
+  Context context_{};               // the fiber, while it is switched out
+  Context return_context_{};        // its resumer, while the fiber runs
   bool started_ = false;
   bool finished_ = false;
   void* tsan_fiber_ = nullptr;  // TSan fiber handle (TSan builds only)

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <string>
 #include <vector>
 
@@ -9,6 +10,16 @@ namespace nectar::hw {
 namespace {
 
 std::vector<std::uint8_t> bytes(const std::string& s) { return {s.begin(), s.end()}; }
+
+/// The CRC a bit at a time, straight from the reflected polynomial.
+std::uint32_t reference_crc(std::span<const std::uint8_t> data) {
+  std::uint32_t c = 0xFFFFFFFFu;
+  for (std::uint8_t b : data) {
+    c ^= b;
+    for (int k = 0; k < 8; ++k) c = (c & 1) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
+  }
+  return c ^ 0xFFFFFFFFu;
+}
 
 TEST(Crc32, KnownVector) {
   // CRC-32/IEEE of "123456789" is 0xCBF43926 (standard check value).
@@ -52,6 +63,35 @@ TEST(Crc32, ResetClearsState) {
   c.reset();
   c.update(data);
   EXPECT_EQ(c.value(), Crc32::compute(data));
+}
+
+TEST(Crc32, MatchesBytewiseReference) {
+  // Every length around the eight-byte steps, plus a jumbo frame, at every
+  // alignment of the buffer.
+  std::vector<std::uint8_t> buf(9000 + 8);
+  std::uint32_t x = 1;
+  for (auto& b : buf) {
+    x = x * 1103515245u + 12345u;
+    b = static_cast<std::uint8_t>(x >> 24);
+  }
+  const std::span<const std::uint8_t> all(buf);
+  for (std::size_t off = 0; off < 8; ++off) {
+    for (std::size_t len = 0; len <= 64; ++len) {
+      EXPECT_EQ(Crc32::compute(all.subspan(off, len)), reference_crc(all.subspan(off, len)))
+          << "offset " << off << ", length " << len;
+    }
+    EXPECT_EQ(Crc32::compute(all.subspan(off, 9000)), reference_crc(all.subspan(off, 9000)))
+        << "offset " << off << ", length 9000";
+  }
+
+  // Streaming, split at every point of a 64-byte buffer.
+  const auto first64 = all.subspan(0, 64);
+  for (std::size_t split = 0; split <= 64; ++split) {
+    Crc32 c;
+    c.update(first64.subspan(0, split));
+    c.update(first64.subspan(split));
+    EXPECT_EQ(c.value(), reference_crc(first64)) << "split at " << split;
+  }
 }
 
 }  // namespace
