@@ -4,7 +4,7 @@
 // per-packet overhead. This isolates the single mechanism behind the
 // Fig. 7 TCP-vs-RMP gap.
 
-#include "common.hpp"
+#include "measure.hpp"
 
 namespace nectar::bench {
 namespace {
@@ -13,34 +13,10 @@ double tcp_transfer_usec_per_msg(std::size_t size, bool checksum, int n) {
   proto::TcpConfig cfg;
   cfg.software_checksum = checksum;
   net::NectarSystem sys(2, false, cfg);
-  const std::uint64_t total = static_cast<std::uint64_t>(n) * size;
-  sim::SimTime t0 = -1, t1 = -1;
-  sys.runtime(1).fork_app("server", [&] {
-    proto::TcpConnection* c = sys.stack(1).tcp.listen(80);
-    sys.stack(1).tcp.wait_established(c);
-    std::uint64_t got = 0;
-    while (got < total) {
-      core::Message m = c->receive_mailbox().begin_get();
-      if (t0 < 0) t0 = sys.engine().now();
-      got += m.len;
-      c->receive_mailbox().end_get(m);
-    }
-    t1 = sys.engine().now();
-  });
-  sys.runtime(0).fork_app("client", [&] {
-    sys.runtime(0).cpu().sleep_for(sim::usec(100));
-    proto::TcpConnection* c = sys.stack(0).tcp.connect(5000, proto::ip_of_node(1), 80);
-    sys.stack(0).tcp.wait_established(c);
-    core::Mailbox& scratch = sys.runtime(0).create_mailbox("scratch");
-    for (int i = 0; i < n; ++i) {
-      sys.stack(0).tcp.wait_send_window(c, 128 * 1024);
-      core::Message m = scratch.begin_put(static_cast<std::uint32_t>(size));
-      sys.stack(0).tcp.send(c, m);
-    }
-  });
+  Stream s;
+  cab_tcp_stream(sys, s, size, n);
   sys.engine().run();
-  if (t1 <= t0 || t0 < 0) return 0;
-  return sim::to_usec(t1 - t0) / n;
+  return sim::to_usec(s.elapsed()) / n;
 }
 
 }  // namespace

@@ -5,7 +5,7 @@
 // costs a little ramp time and nothing else). Under loss, fast retransmit
 // repairs in one RTT what an RTO stall repairs in milliseconds.
 
-#include "common.hpp"
+#include "measure.hpp"
 
 namespace nectar::bench {
 namespace {
@@ -16,46 +16,20 @@ struct Run {
   std::uint64_t fast_retx;
 };
 
+/// 400 KB in 4 KB messages through a 64 KB send window.
 Run transfer(bool cc, double drop, std::size_t mtu) {
   proto::TcpConfig cfg;
   cfg.congestion_control = cc;
   net::NectarSystem sys(2, false, cfg, mtu);
   if (drop > 0) sys.net().cab(0).out_link().set_drop_rate(drop, 20240707);
-  constexpr std::size_t kTotal = 400 * 1024;
-  sim::SimTime t0 = -1, t1 = -1;
-  proto::TcpConnection** conn = new proto::TcpConnection*(nullptr);
-  sys.runtime(1).fork_app("server", [&] {
-    proto::TcpConnection* c = sys.stack(1).tcp.listen(80);
-    sys.stack(1).tcp.wait_established(c);
-    std::uint64_t got = 0;
-    while (got < kTotal) {
-      core::Message m = c->receive_mailbox().begin_get();
-      if (t0 < 0) t0 = sys.engine().now();
-      got += m.len;
-      c->receive_mailbox().end_get(m);
-    }
-    t1 = sys.engine().now();
-  });
-  sys.runtime(0).fork_app("client", [&] {
-    sys.runtime(0).cpu().sleep_for(sim::usec(100));
-    proto::TcpConnection* c = sys.stack(0).tcp.connect(5000, proto::ip_of_node(1), 80);
-    *conn = c;
-    sys.stack(0).tcp.wait_established(c);
-    core::Mailbox& s = sys.runtime(0).create_mailbox("tx");
-    for (std::size_t off = 0; off < kTotal; off += 4096) {
-      sys.stack(0).tcp.wait_send_window(c, 64 * 1024);
-      core::Message m = s.begin_put(4096);
-      sys.stack(0).tcp.send(c, m);
-    }
-  });
+  Stream s;
+  cab_tcp_stream(sys, s, 4096, 100, 64 * 1024);
   sys.net().run_until(sim::sec(120));
-  Run r{};
-  if (t1 > t0 && t0 >= 0) r.mbit = mbit_per_sec(kTotal, t1 - t0);
-  if (*conn != nullptr) {
-    r.retx = (*conn)->retransmissions();
-    r.fast_retx = (*conn)->fast_retransmits();
+  Run r{s.mbit(), 0, 0};
+  if (s.conn != nullptr) {
+    r.retx = s.conn->retransmissions();
+    r.fast_retx = s.conn->fast_retransmits();
   }
-  delete conn;
   return r;
 }
 

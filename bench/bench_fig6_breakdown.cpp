@@ -4,7 +4,7 @@
 // message creation/reading, with stage costs like begin_put = 8 us,
 // datalink = 18 us, "pass message" = 10 us, end_get = 20 us.
 
-#include "common.hpp"
+#include "measure.hpp"
 
 namespace nectar::bench {
 namespace {
@@ -21,15 +21,14 @@ struct Breakdown {
 };
 
 Breakdown measure(const BenchOptions& opts, obs::Snapshot* metrics_out) {
-  net::NectarSystem sys(2, /*with_vme=*/true);
-  host::HostNode h0(sys, 0), h1(sys, 1);
+  HostPair p;
   // The breakdown reads its stage boundaries back from the tracer: the host
   // marks below go on one bench track, datagram.deliver on the CAB's CPU.
-  obs::Tracer& tracer = sys.tracer();
+  obs::Tracer& tracer = p.sys.tracer();
   tracer.set_enabled(true);
   const int host_track = tracer.track("fig6", "host");
   auto mark = [&](const char* label) { tracer.instant(host_track, label); };
-  start_profile(opts, sys.profiler());
+  start_profile(opts, p.sys.profiler());
 
   core::MailboxAddr svc_addr{};
   bool ready = false;
@@ -38,43 +37,43 @@ Breakdown measure(const BenchOptions& opts, obs::Snapshot* metrics_out) {
   // Receiver host process: polls for the message (§6.1: "the host process is
   // polling for receipt of the message, so no interrupt or context switch is
   // required" on the receiving side).
-  h1.host.run_process("receiver", [&] {
-    auto hm = h1.nin.create_mailbox("sink");
+  p.h1.host.run_process("receiver", [&] {
+    auto hm = p.h1.nin.create_mailbox("sink");
     svc_addr = hm.mb->address();
     ready = true;
     std::vector<std::uint8_t> buf(kMsgSize);
-    core::Message m = h1.nin.begin_get_poll(hm);
+    core::Message m = p.h1.nin.begin_get_poll(hm);
     mark("host.got-message");
-    h1.nin.read_message(m, buf);
+    p.h1.nin.read_message(m, buf);
     mark("host.data-read");
-    h1.nin.end_get(hm, m);
+    p.h1.nin.end_get(hm, m);
     mark("host.read-done");
     done = true;
   });
-  sys.net().run_until(sim::msec(1));
+  p.sys.net().run_until(sim::msec(1));
 
   // Sender host process.
-  h0.host.run_process("sender", [&] {
-    host::HostNectarPort port(h0.nin, h0.sockets, "src");
+  p.h0.host.run_process("sender", [&] {
+    host::HostNectarPort port(p.h0.nin, p.h0.sockets, "src");
     auto data = pattern(kMsgSize);
     mark("host.start");
     // HostNectarPort::send_datagram = begin_put + write + end_put; we want
     // marks between the phases, so inline the same steps here.
-    nectarine::HostNectarine::HostMailbox send{&h0.sockets.send_mailbox(), 0, 0};
-    core::Message req = h0.nin.begin_put(send, static_cast<std::uint32_t>(16 + data.size()));
+    nectarine::HostNectarine::HostMailbox send{&p.h0.sockets.send_mailbox(), 0, 0};
+    core::Message req = p.h0.nin.begin_put(send, static_cast<std::uint32_t>(16 + data.size()));
     std::vector<std::uint8_t> hdr(16);
     proto::put32n(hdr, 0, host::SocketServer::kViaDatagram);
     proto::put32n(hdr, 4, static_cast<std::uint32_t>(svc_addr.node));
     proto::put32n(hdr, 8, svc_addr.index);
     proto::put32n(hdr, 12, port.address().index);
     mark("host.msg-built");  // descriptor ready; data still to cross the bus
-    h0.nin.write_message(req, hdr);
-    h0.nin.driver().copy_to_cab(data, req.data + 16);
+    p.h0.nin.write_message(req, hdr);
+    p.h0.nin.driver().copy_to_cab(data, req.data + 16);
     mark("host.data-copied");
-    h0.nin.end_put(send, req);
+    p.h0.nin.end_put(send, req);
     mark("host.end_put-done");
   });
-  sys.net().run_until(sim::sec(1));
+  p.sys.net().run_until(sim::sec(1));
   if (!done) throw std::runtime_error("fig6: message never delivered");
 
   // Time of the first mark with this label; a missing mark would silently
@@ -107,8 +106,8 @@ Breakdown measure(const BenchOptions& opts, obs::Snapshot* metrics_out) {
   (void)got;
   b.total = sim::to_usec(read_done - t0);
   finish_trace(opts.trace_path, tracer);
-  finish_profile(opts, sys.profiler());
-  if (metrics_out != nullptr) *metrics_out = sys.metrics().snapshot();
+  finish_profile(opts, p.sys.profiler());
+  if (metrics_out != nullptr) *metrics_out = p.sys.metrics().snapshot();
   return b;
 }
 

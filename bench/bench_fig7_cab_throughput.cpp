@@ -5,84 +5,27 @@
 // gap is "mostly due to the cost of doing TCP checksums in software"; TCP
 // without checksums is almost as fast as RMP.
 
-#include "common.hpp"
+#include "measure.hpp"
 
 namespace nectar::bench {
 namespace {
 
-int messages_for(std::size_t size) {
-  // Enough messages for steady state without hour-long event counts.
-  if (size <= 64) return 1500;
-  if (size <= 1024) return 800;
-  return 400;
-}
-
-/// Streaming RMP transfer between two CAB threads; returns Mbit/s.
-double rmp_throughput(std::size_t size) {
-  net::NectarSystem sys(2);
-  const int n = messages_for(size);
-  core::Mailbox& sink = sys.runtime(1).create_mailbox("sink");
-  sim::SimTime t0 = -1, t1 = -1;
-  sys.runtime(1).fork_system("recv", [&] {
-    for (int i = 0; i < n; ++i) {
-      core::Message m = sink.begin_get();
-      if (i == 0) t0 = sys.engine().now() - sim::usec(80);  // approx first-message cost
-      sink.end_get(m);
-    }
-    t1 = sys.engine().now();
-  });
-  sys.runtime(0).fork_system("send", [&] {
-    core::Mailbox& scratch = sys.runtime(0).create_mailbox("scratch");
-    for (int i = 0; i < n; ++i) {
-      // Pace against CAB buffer memory: at most 16 messages queued.
-      sys.stack(0).rmp.wait_queue_below(1, 16);
-      core::Message m = scratch.begin_put(static_cast<std::uint32_t>(size));
-      sys.stack(0).rmp.send(sink.address(), m);
-    }
-  });
-  sys.engine().run();
-  if (t1 <= t0) return 0;
-  return mbit_per_sec(static_cast<std::uint64_t>(n) * size, t1 - std::max<sim::SimTime>(t0, 0));
-}
-
-/// Streaming TCP transfer between two CAB threads; returns Mbit/s.
 double tcp_throughput(std::size_t size, bool checksum) {
   proto::TcpConfig cfg;
   cfg.software_checksum = checksum;
   net::NectarSystem sys(2, false, cfg);
-  const int n = messages_for(size);
-  const std::uint64_t total = static_cast<std::uint64_t>(n) * size;
-  sim::SimTime t0 = -1, t1 = -1;
-  sys.runtime(1).fork_app("server", [&] {
-    proto::TcpConnection* c = sys.stack(1).tcp.listen(80);
-    sys.stack(1).tcp.wait_established(c);
-    std::uint64_t got = 0;
-    while (got < total) {
-      core::Message m = c->receive_mailbox().begin_get();
-      if (t0 < 0) t0 = sys.engine().now();
-      got += m.len;
-      c->receive_mailbox().end_get(m);
-    }
-    t1 = sys.engine().now();
-  });
-  sys.runtime(0).fork_app("client", [&] {
-    sys.runtime(0).cpu().sleep_for(sim::usec(100));
-    proto::TcpConnection* c = sys.stack(0).tcp.connect(5000, proto::ip_of_node(1), 80);
-    sys.stack(0).tcp.wait_established(c);
-    core::Mailbox& scratch = sys.runtime(0).create_mailbox("scratch");
-    // One user message per send request: small messages become small
-    // segments (no coalescing across messages), reproducing the per-packet
-    // regime of the figure's left half.
-    for (int i = 0; i < n; ++i) {
-      // Pace against CAB buffer memory: at most 128 KB queued-but-unacked.
-      sys.stack(0).tcp.wait_send_window(c, 128 * 1024);
-      core::Message m = scratch.begin_put(static_cast<std::uint32_t>(size));
-      sys.stack(0).tcp.send(c, m);
-    }
-  });
+  Stream s;
+  cab_tcp_stream(sys, s, size, fig7_messages(size));
   sys.engine().run();
-  if (t1 <= t0 || t0 < 0) return 0;
-  return mbit_per_sec(total, t1 - t0);
+  return s.mbit();
+}
+
+double rmp_throughput(std::size_t size) {
+  net::NectarSystem sys(2);
+  Stream s;
+  cab_rmp_stream(sys, s, size);
+  sys.engine().run();
+  return s.mbit();
 }
 
 }  // namespace

@@ -6,7 +6,7 @@
 // significant"; both protocols are limited by the ~30 Mbit/s VME bus, with
 // TCP/IP peaking around 24 Mbit/s (RMP ~28).
 
-#include "common.hpp"
+#include "measure.hpp"
 
 #include "host/ethernet.hpp"
 #include "host/netdev.hpp"
@@ -14,94 +14,13 @@
 namespace nectar::bench {
 namespace {
 
-int messages_for(std::size_t size) {
-  if (size <= 64) return 600;
-  if (size <= 1024) return 300;
-  return 150;
-}
-
-struct HostPair {
-  net::NectarSystem sys{2, /*with_vme=*/true};
-  host::HostNode h0{sys, 0};
-  host::HostNode h1{sys, 1};
-};
-
-double host_rmp_throughput(std::size_t size) {
+/// One point of a Fig. 8 curve, measured by `kernel`.
+double throughput(void (*kernel)(HostPair&, Stream&, std::size_t), std::size_t size) {
   HostPair p;
-  const int n = messages_for(size);
-  core::MailboxAddr dst{};
-  bool ready = false;
-  sim::SimTime t0 = -1, t1 = -1;
-  p.h1.host.run_process("recv", [&] {
-    host::HostNectarPort port(p.h1.nin, p.h1.sockets, "sink");
-    dst = port.address();
-    ready = true;
-    std::vector<std::uint8_t> buf(size);
-    for (int i = 0; i < n; ++i) {
-      port.recv(buf);
-      if (i == 0) t0 = p.sys.engine().now();
-    }
-    t1 = p.sys.engine().now();
-  });
-  p.sys.net().run_until(sim::msec(1));
-  if (!ready) return 0;
-  p.h0.host.run_process("send", [&] {
-    host::HostNectarPort port(p.h0.nin, p.h0.sockets, "src");
-    auto data = pattern(size);
-    for (int i = 0; i < n; ++i) {
-      // Host-side pacing: poll the CAB's queue depth over the bus.
-      while (p.sys.stack(0).rmp.queued_to(1) >= 8) {
-        p.h0.host.cpu().charge_until(p.sys.net().vme(0)->programmed_access(1));
-        p.h0.host.cpu().sleep_for(sim::usec(200));
-      }
-      port.send_reliable(dst, data);
-    }
-  });
+  Stream s;
+  kernel(p, s, size);
   p.sys.net().run_until(sim::sec(60));
-  if (t1 <= t0 || t0 < 0) return 0;
-  return mbit_per_sec(static_cast<std::uint64_t>(n - 1) * size, t1 - t0);
-}
-
-double host_tcp_throughput(std::size_t size) {
-  HostPair p;
-  const int n = messages_for(size);
-  const std::uint64_t total = static_cast<std::uint64_t>(n) * size;
-  sim::SimTime t0 = -1, t1 = -1;
-  bool listening = false;
-  p.h1.host.run_process("server", [&] {
-    host::HostTcpSocket s(p.h1.nin, p.h1.sockets, p.sys.stack(1).tcp);
-    listening = true;
-    if (!s.listen(80)) return;
-    std::vector<std::uint8_t> buf(16 * 1024);
-    std::uint64_t got = 0;
-    while (got < total) {
-      std::size_t r = s.recv(buf);
-      if (r == 0) break;
-      if (t0 < 0) t0 = p.sys.engine().now();
-      got += r;
-    }
-    t1 = p.sys.engine().now();
-  });
-  p.sys.net().run_until(sim::msec(1));
-  if (!listening) return 0;
-  p.h0.host.run_process("client", [&] {
-    p.h0.host.cpu().sleep_for(sim::usec(500));
-    host::HostTcpSocket s(p.h0.nin, p.h0.sockets, p.sys.stack(0).tcp);
-    if (!s.connect(5000, proto::ip_of_node(1), 80)) return;
-    auto data = pattern(size);
-    proto::TcpConnection* c = p.sys.stack(0).tcp.find(s.conn_id());
-    for (int i = 0; i < n; ++i) {
-      // Host-side pacing: poll the connection state over the bus.
-      while (c->unacked_bytes() >= 128 * 1024) {
-        p.h0.host.cpu().charge_until(p.sys.net().vme(0)->programmed_access(1));
-        p.h0.host.cpu().sleep_for(sim::usec(200));
-      }
-      s.send(data);
-    }
-  });
-  p.sys.net().run_until(sim::sec(60));
-  if (t1 <= t0 || t0 < 0) return 0;
-  return mbit_per_sec(total, t1 - t0);
+  return s.mbit();
 }
 
 /// §5.1/§6.3: CAB as a plain network device, protocols on the host.
@@ -161,8 +80,8 @@ int main(int argc, char** argv) {
   nectar::obs::RunReport report("fig8-host-throughput");
   std::printf("%8s %10s %10s\n", "size", "TCP/IP", "RMP");
   for (std::size_t size : {16, 32, 64, 128, 256, 512, 1024, 2048, 4096, 8192}) {
-    double tcp = host_tcp_throughput(size);
-    double rmp = host_rmp_throughput(size);
+    double tcp = throughput(host_tcp_stream, size);
+    double rmp = throughput(host_rmp_stream, size);
     std::printf("%8zu %10.2f %10.2f\n", size, tcp, rmp);
     std::string sz = std::to_string(size);
     report.add("tcp_" + sz, tcp, "Mbit/s");

@@ -15,7 +15,7 @@
 
 #include <map>
 
-#include "common.hpp"
+#include "measure.hpp"
 
 namespace nectar::bench {
 namespace {
@@ -71,28 +71,8 @@ PhaseResult tcp_phase(std::size_t size, int n) {
   cfg.software_checksum = true;
   net::NectarSystem sys(2, false, cfg, kMtu);
   sys.profiler().set_enabled(true);
-  const std::uint64_t total = static_cast<std::uint64_t>(n) * size;
-  sys.runtime(1).fork_app("server", [&] {
-    proto::TcpConnection* c = sys.stack(1).tcp.listen(kPort);
-    sys.stack(1).tcp.wait_established(c);
-    std::uint64_t got = 0;
-    while (got < total) {
-      core::Message m = c->receive_mailbox().begin_get();
-      got += m.len;
-      c->receive_mailbox().end_get(m);
-    }
-  });
-  sys.runtime(0).fork_app("client", [&] {
-    sys.runtime(0).cpu().sleep_for(sim::usec(100));
-    proto::TcpConnection* c = sys.stack(0).tcp.connect(5000, proto::ip_of_node(1), kPort);
-    sys.stack(0).tcp.wait_established(c);
-    core::Mailbox& scratch = sys.runtime(0).create_mailbox("scratch");
-    for (int i = 0; i < n; ++i) {
-      sys.stack(0).tcp.wait_send_window(c, 128 * 1024);
-      core::Message m = scratch.begin_put(static_cast<std::uint32_t>(size));
-      sys.stack(0).tcp.send(c, m);
-    }
-  });
+  Stream s;
+  cab_tcp_stream(sys, s, size, n);
   sys.engine().run();
   return finish_phase(sys);
 }

@@ -129,13 +129,6 @@ inline double mbit_per_sec(std::uint64_t bytes, sim::SimTime elapsed) {
   return static_cast<double>(bytes) * 8.0 / (static_cast<double>(elapsed) / sim::kSecond) / 1e6;
 }
 
-inline core::Message stage_message(core::Mailbox& mb, core::CabRuntime& rt,
-                                   std::span<const std::uint8_t> data) {
-  core::Message m = mb.begin_put(static_cast<std::uint32_t>(data.size()));
-  rt.board().memory().write(m.data, data);
-  return m;
-}
-
 inline void print_header(const char* title) {
   std::printf("\n=== %s ===\n", title);
   std::printf("(simulated Nectar system; see DESIGN.md for the substitution model)\n\n");

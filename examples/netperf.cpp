@@ -2,8 +2,11 @@
 // Nectar, in the spirit of the tools the paper's evaluation used.
 //
 // Measures host-to-host streaming throughput through the protocol engine
-// (§5.2) over TCP and RMP at a chosen message size, plus a 64-byte datagram
-// round-trip — a one-command condensation of Table 1 and Figure 8.
+// (§5.2) over TCP and RMP at a chosen message size, plus the 64-byte
+// datagram round trip — a one-command condensation of Table 1 and Figure 8.
+// It runs the benches' own measurement kernels (bench/measure.hpp): the
+// streams are Fig. 8's points at that size, and the round trip is Table 1's
+// Host-Host datagram cell, the median of 15.
 //
 //   $ ./netperf [message_bytes] [--trace out.json]
 //
@@ -16,129 +19,29 @@
 #include <cstring>
 #include <string>
 
-#include "host/node.hpp"
-#include "obs/tracer.hpp"
+#include "measure.hpp"
 
 using namespace nectar;
 
 namespace {
 
-struct Pair {
-  net::NectarSystem sys{2, /*with_vme=*/true};
-  host::HostNode h0{sys, 0};
-  host::HostNode h1{sys, 1};
-};
-
-double tcp_stream(std::size_t size, int n) {
-  Pair p;
-  const std::uint64_t total = static_cast<std::uint64_t>(n) * size;
-  sim::SimTime t0 = -1, t1 = -1;
-  p.h1.host.run_process("server", [&] {
-    host::HostTcpSocket s(p.h1.nin, p.h1.sockets, p.sys.stack(1).tcp);
-    if (!s.listen(80)) return;
-    std::vector<std::uint8_t> buf(16 * 1024);
-    std::uint64_t got = 0;
-    while (got < total) {
-      std::size_t r = s.recv(buf);
-      if (r == 0) break;
-      if (t0 < 0) t0 = p.sys.engine().now();
-      got += r;
-    }
-    t1 = p.sys.engine().now();
-  });
-  p.sys.net().run_until(sim::msec(1));
-  p.h0.host.run_process("client", [&] {
-    p.h0.host.cpu().sleep_for(sim::usec(500));
-    host::HostTcpSocket s(p.h0.nin, p.h0.sockets, p.sys.stack(0).tcp);
-    if (!s.connect(5000, proto::ip_of_node(1), 80)) return;
-    auto data = std::vector<std::uint8_t>(size, 0x42);
-    proto::TcpConnection* c = p.sys.stack(0).tcp.find(s.conn_id());
-    for (int i = 0; i < n; ++i) {
-      while (c->unacked_bytes() >= 128 * 1024) p.h0.host.cpu().sleep_for(sim::usec(200));
-      s.send(data);
-    }
-  });
+double stream_mbit(void (*kernel)(bench::HostPair&, bench::Stream&, std::size_t),
+                   std::size_t size) {
+  bench::HostPair p;
+  bench::Stream s;
+  kernel(p, s, size);
   p.sys.net().run_until(sim::sec(120));
-  if (t1 <= t0 || t0 < 0) return 0;
-  return static_cast<double>(total) * 8.0 / (static_cast<double>(t1 - t0) / sim::kSecond) / 1e6;
-}
-
-double rmp_stream(std::size_t size, int n) {
-  Pair p;
-  core::MailboxAddr dst{};
-  bool ready = false;
-  sim::SimTime t0 = -1, t1 = -1;
-  p.h1.host.run_process("recv", [&] {
-    host::HostNectarPort port(p.h1.nin, p.h1.sockets, "sink");
-    dst = port.address();
-    ready = true;
-    std::vector<std::uint8_t> buf(size);
-    for (int i = 0; i < n; ++i) {
-      port.recv(buf);
-      if (i == 0) t0 = p.sys.engine().now();
-    }
-    t1 = p.sys.engine().now();
-  });
-  p.sys.net().run_until(sim::msec(1));
-  if (!ready) return 0;
-  p.h0.host.run_process("send", [&] {
-    host::HostNectarPort port(p.h0.nin, p.h0.sockets, "src");
-    auto data = std::vector<std::uint8_t>(size, 0x5A);
-    for (int i = 0; i < n; ++i) {
-      while (p.sys.stack(0).rmp.queued_to(1) >= 8) p.h0.host.cpu().sleep_for(sim::usec(200));
-      port.send_reliable(dst, data);
-    }
-  });
-  p.sys.net().run_until(sim::sec(120));
-  if (t1 <= t0 || t0 < 0) return 0;
-  return static_cast<double>(n - 1) * size * 8.0 /
-         (static_cast<double>(t1 - t0) / sim::kSecond) / 1e6;
+  return s.mbit();
 }
 
 double datagram_rtt_usec(const std::string& trace_path) {
-  Pair p;
+  bench::HostPair p;
   if (!trace_path.empty()) p.sys.tracer().set_enabled(true);
-  core::MailboxAddr svc{};
-  bool ready = false;
-  p.h1.host.run_process("echo", [&] {
-    host::HostNectarPort port(p.h1.nin, p.h1.sockets, "echo");
-    svc = port.address();
-    ready = true;
-    std::vector<std::uint8_t> buf(64);
-    for (int i = 0; i < 9; ++i) {
-      std::size_t n = port.recv(buf);
-      core::MailboxAddr back{static_cast<std::int32_t>(proto::get32n(buf, 0)),
-                             proto::get32n(buf, 4)};
-      port.send_datagram(back, std::span<const std::uint8_t>(buf).first(n));
-    }
-  });
-  p.sys.net().run_until(sim::msec(1));
-  if (!ready) return 0;
-  sim::SimTime best = -1;
-  p.h0.host.run_process("client", [&] {
-    host::HostNectarPort port(p.h0.nin, p.h0.sockets, "cli");
-    std::vector<std::uint8_t> msg(64, 0);
-    proto::put32n(msg, 0, static_cast<std::uint32_t>(port.address().node));
-    proto::put32n(msg, 4, port.address().index);
-    std::vector<std::uint8_t> buf(64);
-    for (int i = 0; i < 9; ++i) {
-      sim::SimTime t0 = p.sys.engine().now();
-      port.send_datagram(svc, msg);
-      port.recv(buf);
-      sim::SimTime rtt = p.sys.engine().now() - t0;
-      if (best < 0 || rtt < best) best = rtt;
-    }
-  });
+  std::vector<sim::SimTime> rtts;
+  bench::host_round_trips(p, bench::Protocol::Datagram, rtts);
   p.sys.net().run_until(sim::sec(5));
-  if (!trace_path.empty()) {
-    if (!p.sys.tracer().write_chrome(trace_path)) {
-      std::fprintf(stderr, "error: cannot write trace to %s\n", trace_path.c_str());
-      std::exit(1);
-    }
-    std::printf("  (wrote %s: %zu events)\n", trace_path.c_str(),
-                p.sys.tracer().events().size());
-  }
-  return sim::to_usec(best);
+  bench::finish_trace(trace_path, p.sys.tracer());
+  return bench::median_usec(rtts);
 }
 
 }  // namespace
@@ -155,13 +58,14 @@ int main(int argc, char** argv) {
       size_set = true;
     }
   }
-  int n = size >= 4096 ? 150 : 400;
 
   std::printf("netperf: host-to-host over the Nectar protocol engine\n");
-  std::printf("message size %zu bytes, %d messages per run (simulated clock)\n\n", size, n);
-  std::printf("  TCP/IP stream   : %7.2f Mbit/s\n", tcp_stream(size, n));
-  std::printf("  RMP stream      : %7.2f Mbit/s\n", rmp_stream(size, n));
-  std::printf("  datagram RTT    : %7.1f us (64-byte, best of 9)\n", datagram_rtt_usec(trace_path));
+  std::printf("message size %zu bytes, %d messages per run (simulated clock)\n\n", size,
+              bench::fig8_messages(size));
+  std::printf("  TCP/IP stream   : %7.2f Mbit/s\n", stream_mbit(bench::host_tcp_stream, size));
+  std::printf("  RMP stream      : %7.2f Mbit/s\n", stream_mbit(bench::host_rmp_stream, size));
+  std::printf("  datagram RTT    : %7.1f us (64-byte, median of %d)\n",
+              datagram_rtt_usec(trace_path), bench::kRounds);
   std::printf("\n(the paper's testbed: ~24-28 Mbit/s streams, 325 us round trip)\n");
   return 0;
 }

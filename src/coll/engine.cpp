@@ -576,10 +576,10 @@ void CollectiveEngine::end_of_data(core::Message m, std::uint8_t src_node) {
     ct->stage(rctx, "rx.coll", "node" + std::to_string(node_id()));
   }
 
-  if (m.len >= CollHeader::kSize) {
-    CollHeader h =
-        CollHeader::parse(runtime().board().memory().view(m.data, CollHeader::kSize));
-    handle_msg(h, m);
+  if (auto h = CollHeader::parse(runtime().board().memory().view(m.data, m.len))) {
+    handle_msg(*h, m);
+  } else {
+    ++malformed_drops_;
   }
   // The engine is the terminus of a collective message: all protocol state
   // lives in the per-seq records, so the buffer is always released here.

@@ -82,6 +82,8 @@ class CollectiveEngine : public proto::DatalinkClient {
   std::uint64_t ops_failed() const { return ops_failed_; }
   std::uint64_t retransmits() const { return retransmits_; }
   std::uint64_t stale_drops() const { return stale_drops_; }
+  /// Messages dropped on arrival because CollHeader::parse rejected them.
+  std::uint64_t malformed_drops() const { return malformed_drops_; }
 
   /// Per-op completion latency (entry to release) observed on this node.
   obs::LatencyHistogram& barrier_latency() { return barrier_lat_; }
@@ -192,6 +194,7 @@ class CollectiveEngine : public proto::DatalinkClient {
   std::uint64_t ops_failed_ = 0;
   std::uint64_t retransmits_ = 0;
   std::uint64_t stale_drops_ = 0;
+  std::uint64_t malformed_drops_ = 0;
 
   obs::LatencyHistogram barrier_lat_;
   obs::LatencyHistogram bcast_lat_;

@@ -119,8 +119,12 @@ void HostCollective::recv_one() {
   ++msgs_received_;
   nin_.driver().host().cpu().charge(costs::kNectarProtoRecv);
 
-  if (buf.size() < CollHeader::kSize) return;
-  CollHeader h = CollHeader::parse(std::span<const std::uint8_t>(buf).first(CollHeader::kSize));
+  std::optional<CollHeader> parsed = CollHeader::parse(buf);
+  if (!parsed) {
+    ++malformed_drops_;
+    return;
+  }
+  const CollHeader& h = *parsed;
   if (h.group != spec_.id || h.epoch != spec_.epoch) return;
   if (h.src_rank >= static_cast<std::uint16_t>(spec_.size())) return;
   if (h.seq < seq_) return;  // cannot happen loss-free; drop defensively

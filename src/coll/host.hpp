@@ -60,6 +60,8 @@ class HostCollective {
   std::uint64_t msgs_sent() const { return msgs_sent_; }
   std::uint64_t msgs_received() const { return msgs_received_; }
   std::uint64_t ops_completed() const { return ops_completed_; }
+  /// Messages dropped on arrival because CollHeader::parse rejected them.
+  std::uint64_t malformed_drops() const { return malformed_drops_; }
 
   obs::LatencyHistogram& barrier_latency() { return barrier_lat_; }
   obs::LatencyHistogram& bcast_latency() { return bcast_lat_; }
@@ -106,6 +108,7 @@ class HostCollective {
   std::uint64_t msgs_sent_ = 0;
   std::uint64_t msgs_received_ = 0;
   std::uint64_t ops_completed_ = 0;
+  std::uint64_t malformed_drops_ = 0;
 
   obs::LatencyHistogram barrier_lat_;
   obs::LatencyHistogram bcast_lat_;

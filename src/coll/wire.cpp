@@ -43,12 +43,20 @@ void CollHeader::serialize(std::span<std::uint8_t> out) const {
   proto::put32(out, 20, static_cast<std::uint32_t>(value));
 }
 
-CollHeader CollHeader::parse(std::span<const std::uint8_t> in) {
+std::optional<CollHeader> CollHeader::parse(std::span<const std::uint8_t> in) {
+  if (in.size() < kSize) return std::nullopt;
+  const std::uint8_t kind = proto::get8(in, 4);
+  const std::uint8_t op = proto::get8(in, 5);
+  if (kind < static_cast<std::uint8_t>(MsgKind::Arrive) ||
+      kind > static_cast<std::uint8_t>(MsgKind::ReduceResult) ||
+      op > static_cast<std::uint8_t>(ReduceOp::Max)) {
+    return std::nullopt;
+  }
   CollHeader h;
   h.group = proto::get16(in, 0);
   h.epoch = proto::get16(in, 2);
-  h.kind = static_cast<MsgKind>(proto::get8(in, 4));
-  h.op = proto::get8(in, 5);
+  h.kind = static_cast<MsgKind>(kind);
+  h.op = op;
   h.src_rank = proto::get16(in, 6);
   h.seq = proto::get32(in, 8);
   h.round = proto::get16(in, 12);

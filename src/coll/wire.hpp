@@ -9,6 +9,7 @@
 // broadcast carries payload bytes after the header.
 
 #include <cstdint>
+#include <optional>
 #include <span>
 
 namespace nectar::coll {
@@ -45,7 +46,9 @@ struct CollHeader {
 
   static constexpr std::size_t kSize = 24;
   void serialize(std::span<std::uint8_t> out) const;
-  static CollHeader parse(std::span<const std::uint8_t> in);
+  /// The header at the front of `in`; nullopt when `in` is shorter than a
+  /// header, or its kind byte names no MsgKind or its op byte no ReduceOp.
+  static std::optional<CollHeader> parse(std::span<const std::uint8_t> in);
 };
 
 }  // namespace nectar::coll

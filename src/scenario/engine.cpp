@@ -327,52 +327,79 @@ const Table<FaultSpec> kFaultKeys{"fault", {
     {"count", &FaultSpec::count},
 }};
 
-/// One INI section: its table, where its spec lives in a ScenarioSpec, and
-/// whether it repeats (each copy then binds a new spec).
+/// One INI section: its key names, how a copy of it binds into a
+/// ScenarioSpec, and how a built ScenarioSpec's values for it are checked.
 struct SectionBinding {
   const char* name;
-  bool repeats;
+  bool repeats;  ///< each copy binds a new spec
   std::vector<std::string> keys;
   std::function<void(const Section&, ScenarioSpec&)> bind;
+  std::function<void(const ScenarioSpec&)> check;
 };
 
-/// `slot` returns the spec a section binds into.
-template <class Spec, class Slot>
-SectionBinding section(const Table<Spec>& table, bool repeats, Slot slot) {
-  SectionBinding b{table.section, repeats, {},
-                   [&table, slot](const Section& s, ScenarioSpec& spec) {
-                     bind(s, table, slot(spec));
-                   }};
-  for (const Key<Spec>& k : table.keys) b.keys.emplace_back(k.name);
-  return b;
+template <class Spec>
+std::vector<std::string> key_names(const Table<Spec>& table) {
+  std::vector<std::string> names;
+  for (const Key<Spec>& k : table.keys) names.emplace_back(k.name);
+  return names;
+}
+
+/// A section that appears at most once; `pick` returns its spec from a
+/// ScenarioSpec, const or not.
+template <class Spec, class Pick>
+SectionBinding once(const Table<Spec>& table, Pick pick) {
+  return {table.section, false, key_names(table),
+          [&table, pick](const Section& s, ScenarioSpec& spec) { bind(s, table, pick(spec)); },
+          [&table, pick](const ScenarioSpec& spec) { check(table, pick(spec)); }};
+}
+
+/// A repeating section: each copy binds a new element of `list`, which
+/// `init` first gives the defaults that depend on its index.
+template <class Spec>
+SectionBinding repeated(const Table<Spec>& table, std::vector<Spec> ScenarioSpec::*list,
+                        std::type_identity_t<void (*)(Spec&, std::size_t)> init = nullptr) {
+  return {table.section, true, key_names(table),
+          [&table, list, init](const Section& s, ScenarioSpec& spec) {
+            Spec& x = (spec.*list).emplace_back();
+            if (init != nullptr) init(x, (spec.*list).size() - 1);
+            bind(s, table, x);
+          },
+          [&table, list](const ScenarioSpec& spec) {
+            for (const Spec& x : spec.*list) check(table, x);
+          }};
 }
 
 /// Every section from_config accepts: the list binding, the unknown- and
-/// repeated-section checks and vocabulary() all read.
+/// repeated-section checks, the Scenario constructor's checks and
+/// vocabulary() all read.
 const SectionBinding kSections[] = {
-    section(kScenarioKeys, false, [](ScenarioSpec& s) -> ScenarioSpec& { return s; }),
-    section(kTopologyKeys, false, [](ScenarioSpec& s) -> auto& { return s.topology; }),
-    section(kParallelKeys, false, [](ScenarioSpec& s) -> auto& { return s.parallel; }),
-    section(kRoutingKeys, false, [](ScenarioSpec& s) -> auto& { return s.routing; }),
-    section(kCollectivesKeys, false, [](ScenarioSpec& s) -> auto& { return s.collectives; }),
-    section(kSessionsKeys, false, [](ScenarioSpec& s) -> auto& { return s.sessions; }),
-    section(kProfileKeys, false, [](ScenarioSpec& s) -> auto& { return s.profile; }),
-    section(kTelemetryKeys, false, [](ScenarioSpec& s) -> auto& { return s.telemetry; }),
-    section(kTracingKeys, false, [](ScenarioSpec& s) -> auto& { return s.tracing; }),
-    section(kWorkloadKeys, true,
-            [](ScenarioSpec& s) -> auto& {
-              // Workload i defaults to name wl<i> and claims a private 16-port
-              // band, so TCP client ports (port+1) never collide across
-              // workloads.
-              const int i = static_cast<int>(s.workloads.size());
-              WorkloadSpec& w = s.workloads.emplace_back();
-              w.name = "wl" + std::to_string(i);
-              w.port = static_cast<std::uint16_t>(7000 + 16 * i);
-              return w;
-            }),
-    section(kCaptureKeys, true, [](ScenarioSpec& s) -> auto& { return s.captures.emplace_back(); }),
-    section(kFaultKeys, true, [](ScenarioSpec& s) -> auto& { return s.faults.emplace_back(); }),
+    once(kScenarioKeys, [](auto& s) -> auto& { return s; }),
+    once(kTopologyKeys, [](auto& s) -> auto& { return s.topology; }),
+    once(kParallelKeys, [](auto& s) -> auto& { return s.parallel; }),
+    once(kRoutingKeys, [](auto& s) -> auto& { return s.routing; }),
+    once(kCollectivesKeys, [](auto& s) -> auto& { return s.collectives; }),
+    once(kSessionsKeys, [](auto& s) -> auto& { return s.sessions; }),
+    once(kProfileKeys, [](auto& s) -> auto& { return s.profile; }),
+    once(kTelemetryKeys, [](auto& s) -> auto& { return s.telemetry; }),
+    once(kTracingKeys, [](auto& s) -> auto& { return s.tracing; }),
+    repeated(kWorkloadKeys, &ScenarioSpec::workloads,
+             [](WorkloadSpec& w, std::size_t i) {
+               // Workload i defaults to name wl<i> and claims a private
+               // 16-port band, so TCP client ports (port+1) never collide
+               // across workloads.
+               w.name = "wl" + std::to_string(i);
+               w.port = static_cast<std::uint16_t>(7000 + 16 * i);
+             }),
+    repeated(kCaptureKeys, &ScenarioSpec::captures),
+    repeated(kFaultKeys, &ScenarioSpec::faults),
 };
+
+/// `spec`, once every value in it has passed its key's row: a spec built in
+/// code meets the same bounds an INI file does.
+ScenarioSpec checked(ScenarioSpec spec) {
+  for (const SectionBinding& b : kSections) b.check(spec);
+  return spec;
+}
 
 /// Write `text` to `path`, the value of INI key `key`, or throw naming both.
 void write_artifact(const char* key, const std::string& path, const std::string& text) {
@@ -436,7 +463,8 @@ std::map<std::string, std::vector<std::string>> ScenarioSpec::vocabulary() {
   return out;
 }
 
-Scenario::Scenario(ScenarioSpec spec) : spec_(std::move(spec)), net_(spec_.parallel.shards) {
+Scenario::Scenario(ScenarioSpec spec)
+    : spec_(checked(std::move(spec))), net_(spec_.parallel.shards) {
   if (spec_.parallel.shards > 1) {
     // Both features hang network-global mutable state off every node's hot
     // path (the causal tracer's trace table, the control plane's route
@@ -478,14 +506,10 @@ Scenario::Scenario(ScenarioSpec spec) : spec_(std::move(spec)), net_(spec_.paral
     workloads_.push_back(std::make_unique<Workload>(net_, raw, w, spec_.seed));
     workloads_.back()->install();
   }
-  // The drivers are built only here, so a spec built in code passes the same
-  // rows an INI section does.
   if (spec_.collectives.enabled) {
-    check(kCollectivesKeys, spec_.collectives);
     collectives_ = std::make_unique<CollectiveDriver>(net_, raw, spec_.collectives);
   }
   if (spec_.sessions.enabled) {
-    check(kSessionsKeys, spec_.sessions);
     sessions_ = std::make_unique<SessionDriver>(net_, raw, spec_.sessions, spec_.seed);
   }
   for (const CaptureSpec& c : spec_.captures) {

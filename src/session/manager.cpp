@@ -1,6 +1,7 @@
 #include "session/manager.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 #include <utility>
 
 #include "core/cpu.hpp"
@@ -417,7 +418,13 @@ void SessionManager::reader_loop(int trunk) {
 void SessionManager::handle_frames(int trunk, std::span<const std::uint8_t> bytes) {
   std::size_t off = 0;
   while (bytes.size() - off >= FrameHeader::kSize) {
-    FrameHeader h = FrameHeader::parse(bytes.subspan(off));
+    FrameHeader h;
+    try {
+      h = FrameHeader::parse(bytes.subspan(off));
+    } catch (const std::invalid_argument&) {
+      ++proto_errors_;
+      return;  // unknown frame type — count loudly, drop the tail
+    }
     off += FrameHeader::kSize;
     std::span<const std::uint8_t> payload;
     if (h.length > 0) {

@@ -4,7 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include "coll/engine.hpp"
 #include "net/system.hpp"
+#include "session/manager.hpp"
 #include "sim/random.hpp"
 
 namespace nectar::proto {
@@ -162,6 +164,66 @@ TEST(Fuzz, LengthFieldLiesAreCaught) {
   });
   EXPECT_EQ(f.sys.stack(1).ip.dropped_bad_header(), 20u);
   EXPECT_LE(f.sys.runtime(1).heap().bytes_in_use(), idle_floor(f.sys.runtime(1)));
+}
+
+TEST(Fuzz, MalformedCollHeadersAreCounted) {
+  // A 3-member group whose root holds rank 1's partial for the live
+  // sequence: a partial from rank 2 whose operator byte names no ReduceOp
+  // would reach combine() from the receive interrupt.
+  net::NectarSystem sys(3);
+  coll::GroupSpec g;
+  g.id = 1;
+  g.members = {0, 1, 2};
+  std::vector<std::unique_ptr<coll::CollectiveEngine>> eng;
+  for (int i = 0; i < 3; ++i) {
+    eng.push_back(std::make_unique<coll::CollectiveEngine>(sys.net().datalink(i)));
+    eng.back()->join_group(g);
+  }
+  sys.runtime(1).fork_system("attacker", [&] {
+    auto send = [&](std::uint16_t rank, std::uint8_t kind, std::uint8_t op) {
+      coll::CollHeader h;
+      h.group = g.id;
+      h.epoch = g.epoch;
+      h.kind = static_cast<coll::MsgKind>(kind);
+      h.op = op;
+      h.src_rank = rank;
+      h.seq = 1;
+      h.value = 5;
+      std::vector<std::uint8_t> hdr(coll::CollHeader::kSize);
+      h.serialize(hdr);
+      sys.net().datalink(1).send(PacketType::Coll, 0, std::move(hdr), hw::kDataBase, 0);
+    };
+    const auto reduce_up = static_cast<std::uint8_t>(coll::MsgKind::ReduceUp);
+    send(1, reduce_up, static_cast<std::uint8_t>(coll::ReduceOp::Sum));
+    send(2, reduce_up, 0x7f);
+    send(2, 0, 0);
+    send(2, 200, 0);
+    // A header cut short.
+    sys.net().datalink(1).send(PacketType::Coll, 0, std::vector<std::uint8_t>(10), hw::kDataBase,
+                               0);
+  });
+  sys.net().run_until(sim::msec(10));
+  EXPECT_EQ(eng[0]->msgs_received(), 5u);
+  EXPECT_EQ(eng[0]->malformed_drops(), 4u);
+  EXPECT_EQ(eng[0]->stale_drops(), 0u);
+}
+
+TEST(Fuzz, SessionFramesOfUnknownTypeAreCounted) {
+  net::NectarSystem sys(2);
+  session::SessionManager a(sys.runtime(0), 0, sys.stack(0).rmp, {});
+  session::SessionManager b(sys.runtime(1), 1, sys.stack(1).rmp, {});
+  const int trunk = session::SessionManager::connect_rmp_pair(a, b).second;
+  sys.runtime(0).fork_system("attacker", [&] {
+    // Two frame headers whose type byte is 0: the first is counted and the
+    // rest of the trunk message dropped with it.
+    std::vector<std::uint8_t> frames(2 * session::FrameHeader::kSize, 0);
+    core::Message m = sys.runtime(0).create_mailbox("tx").begin_put(
+        static_cast<std::uint32_t>(frames.size()));
+    sys.runtime(0).board().memory().write(m.data, frames);
+    sys.stack(0).rmp.send(b.trunk_local_address(trunk), m);
+  });
+  sys.net().run_until(sim::msec(10));
+  EXPECT_EQ(b.proto_errors(), 1u);
 }
 
 }  // namespace

@@ -239,8 +239,8 @@ TEST(ConfigTest, EveryBoundIsEnforced) {
   }
 }
 
-// A spec built in code passes the same rows when the Scenario builds the
-// collectives and sessions drivers from it.
+// A spec built in code passes every section's rows when the Scenario is
+// built from it, as an INI file's sections do when they bind.
 TEST(ConfigTest, SpecsBuiltInCodeMeetTheSameBounds) {
   ScenarioSpec coll;
   coll.topology.nodes = 2;
@@ -252,6 +252,32 @@ TEST(ConfigTest, SpecsBuiltInCodeMeetTheSameBounds) {
   sess.sessions.enabled = true;
   sess.sessions.probe_channels = sess.sessions.channels + 1;
   EXPECT_THROW(Scenario sc(std::move(sess)), std::runtime_error);
+  // A zero sample interval would never step run()'s clock to the end.
+  ScenarioSpec telemetry;
+  telemetry.topology.nodes = 2;
+  telemetry.duration = sim::msec(5);
+  telemetry.telemetry.enabled = true;
+  telemetry.telemetry.interval = 0;
+  EXPECT_THROW(Scenario sc(std::move(telemetry)), std::runtime_error);
+  auto fat_tree = [] {
+    ScenarioSpec spec;
+    spec.topology.kind = TopologyKind::FatTree;
+    spec.topology.nodes = 8;
+    spec.topology.hub_ports = 8;
+    spec.tracing.artifact = "unused-tail.json";
+    return spec;
+  };
+  ScenarioSpec trunk = fat_tree();
+  trunk.topology.trunk_propagation = 0;
+  EXPECT_THROW(Scenario sc(std::move(trunk)), std::runtime_error);
+  ScenarioSpec sample = fat_tree();
+  sample.tracing.enabled = true;
+  sample.tracing.sample = 2;
+  EXPECT_THROW(Scenario sc(std::move(sample)), std::runtime_error);
+  ScenarioSpec top_k = fat_tree();
+  top_k.tracing.enabled = true;
+  top_k.tracing.top_k = -1;
+  EXPECT_THROW(Scenario sc(std::move(top_k)), std::runtime_error);
 }
 
 // Disabled sections still validate their values — a typo'd *value* must not

@@ -89,10 +89,14 @@ TEST(FaultSchedulerTest, CaptureAndFaultRejectTheSameElements) {
   };
   for (const char* bad : {"node1x.link", "node+1.link", "node 1.link", "node-0.link",
                           "node4294967296.link", "node4.link", "node.link", "node1.lnk",
-                          "nodeA.link", "hub0.port3", ""}) {
+                          "nodeA.link", "hub0.port3"}) {
     EXPECT_THROW(capture(bad), std::invalid_argument) << "[capture] element = " << bad;
     EXPECT_THROW(fault(bad), std::invalid_argument) << "[fault] target = " << bad;
   }
+  // An empty [capture] element fails its key's row (a required value) before
+  // the Scenario parses it, as in an INI file.
+  EXPECT_THROW(capture(""), std::runtime_error);
+  EXPECT_THROW(fault(""), std::invalid_argument);
   EXPECT_NO_THROW(capture("node3.link"));
   EXPECT_NO_THROW(fault("node3.link"));
   std::remove(pcap.c_str());
