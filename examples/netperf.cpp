@@ -10,20 +10,43 @@
 //
 //   $ ./netperf [message_bytes] [--trace out.json]
 //
+// message_bytes is a decimal integer from 1 up to the largest message one
+// datalink packet carries behind the Nectar header (16,370 bytes); anything
+// else prints the usage line and exits 2.
+//
 // With --trace, the datagram round-trip run also writes a Chrome trace-event
 // timeline (host CPUs, CAB threads, VME, wire as separate tracks); open it in
 // chrome://tracing or https://ui.perfetto.dev.
 
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
 
 #include "measure.hpp"
+#include "proto/datalink.hpp"
+#include "proto/headers.hpp"
 
 using namespace nectar;
 
 namespace {
+
+// The RMP stream sends each message as one datalink packet.
+constexpr std::size_t kMaxSize = proto::Datalink::kMaxPayload - proto::NectarHeader::kSize;
+
+[[noreturn]] void usage(const char* argv0) {
+  std::fprintf(stderr, "usage: %s [message_bytes 1..%zu] [--trace out.json]\n", argv0,
+               kMaxSize);
+  std::exit(2);
+}
+
+/// A decimal integer in [1, kMaxSize] into `size`; false for anything else.
+bool parse_size(const char* arg, std::size_t& size) {
+  const char* end = arg + std::strlen(arg);
+  auto [stop, err] = std::from_chars(arg, end, size);
+  return err == std::errc() && stop == end && size >= 1 && size <= kMaxSize;
+}
 
 double stream_mbit(void (*kernel)(bench::HostPair&, bench::Stream&, std::size_t),
                    std::size_t size) {
@@ -53,9 +76,10 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--trace") == 0 && i + 1 < argc) {
       trace_path = argv[++i];
-    } else if (!size_set) {
-      size = static_cast<std::size_t>(std::atoi(argv[i]));
+    } else if (!size_set && parse_size(argv[i], size)) {
       size_set = true;
+    } else {
+      usage(argv[0]);
     }
   }
 

@@ -607,6 +607,13 @@ void CollectiveEngine::handle_msg(const CollHeader& h, const core::Message& m) {
     handle_stale(g, h);
     return;
   }
+  if (h.seq > g.seq + 1) {
+    // Members are at most one collective apart (see handle_stale), so a
+    // sequence further ahead is forged: buffering it would grow the per-seq
+    // state without bound.
+    ++stale_drops_;
+    return;
+  }
 
   SeqState& s = pending(g, h.seq);
   bool current = h.seq == g.seq;

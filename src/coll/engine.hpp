@@ -81,6 +81,9 @@ class CollectiveEngine : public proto::DatalinkClient {
   std::uint64_t ops_completed() const { return ops_completed_; }
   std::uint64_t ops_failed() const { return ops_failed_; }
   std::uint64_t retransmits() const { return retransmits_; }
+  /// Messages dropped for naming an unknown group, another epoch, a rank
+  /// outside the group, or a sequence behind the live one or more than one
+  /// ahead of it.
   std::uint64_t stale_drops() const { return stale_drops_; }
   /// Messages dropped on arrival because CollHeader::parse rejected them.
   std::uint64_t malformed_drops() const { return malformed_drops_; }

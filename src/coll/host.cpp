@@ -128,6 +128,10 @@ void HostCollective::recv_one() {
   if (h.group != spec_.id || h.epoch != spec_.epoch) return;
   if (h.src_rank >= static_cast<std::uint16_t>(spec_.size())) return;
   if (h.seq < seq_) return;  // cannot happen loss-free; drop defensively
+  if (h.seq > seq_ + 1) {
+    ++malformed_drops_;  // members are at most one collective apart: forged
+    return;
+  }
   SeqState& s = state(h.seq);
   switch (h.kind) {
     case MsgKind::Arrive:

@@ -60,7 +60,8 @@ class HostCollective {
   std::uint64_t msgs_sent() const { return msgs_sent_; }
   std::uint64_t msgs_received() const { return msgs_received_; }
   std::uint64_t ops_completed() const { return ops_completed_; }
-  /// Messages dropped on arrival because CollHeader::parse rejected them.
+  /// Messages dropped on arrival because CollHeader::parse rejected them,
+  /// or because their sequence runs more than one ahead of the live one.
   std::uint64_t malformed_drops() const { return malformed_drops_; }
 
   obs::LatencyHistogram& barrier_latency() { return barrier_lat_; }

@@ -1,18 +1,11 @@
 #include "core/scheduler.hpp"
 
-#include <algorithm>
-
 #include "core/thread.hpp"
 
 namespace nectar::core {
 
 void RunQueue::push(Thread* t) {
   levels_[-t->priority()].push_back(t);
-  ++size_;
-}
-
-void RunQueue::push_front(Thread* t) {
-  levels_[-t->priority()].push_front(t);
   ++size_;
 }
 
@@ -37,17 +30,6 @@ Thread* RunQueue::peek_best() const {
     if (!dq.empty()) return dq.front();
   }
   return nullptr;
-}
-
-bool RunQueue::remove(Thread* t) {
-  auto it = levels_.find(-t->priority());
-  if (it == levels_.end()) return false;
-  auto pos = std::find(it->second.begin(), it->second.end(), t);
-  if (pos == it->second.end()) return false;
-  it->second.erase(pos);
-  if (it->second.empty()) levels_.erase(it);
-  --size_;
-  return true;
 }
 
 }  // namespace nectar::core

@@ -13,12 +13,8 @@ class Thread;
 class RunQueue {
  public:
   void push(Thread* t);
-  /// Re-admit a preempted thread at the head of its priority level so it
-  /// continues before its round-robin peers.
-  void push_front(Thread* t);
   Thread* pop_best();
   Thread* peek_best() const;
-  bool remove(Thread* t);
   bool empty() const { return size_ == 0; }
   std::size_t size() const { return size_; }
 

@@ -33,11 +33,6 @@ void CabDriver::write32(hw::CabAddr a, std::uint32_t v) {
   cab_.board().memory().write32(a, v);
 }
 
-std::uint8_t CabDriver::read8(hw::CabAddr a) {
-  host_.cpu().charge_until(vme_.programmed_access(1));
-  return cab_.board().memory().read8(a);
-}
-
 void CabDriver::read_block(hw::CabAddr a, std::span<std::uint8_t> out) {
   host_.cpu().charge_until(vme_.programmed_bytes(out.size()));
   cab_.board().memory().read(a, out);

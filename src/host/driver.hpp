@@ -33,7 +33,6 @@ class CabDriver {
 
   std::uint32_t read32(hw::CabAddr a);
   void write32(hw::CabAddr a, std::uint32_t v);
-  std::uint8_t read8(hw::CabAddr a);
   void read_block(hw::CabAddr a, std::span<std::uint8_t> out);
   void write_block(hw::CabAddr a, std::span<const std::uint8_t> in);
 

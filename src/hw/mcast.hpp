@@ -8,8 +8,8 @@
 // the frame once per edge — trunk edges carry the (smaller) subtree onward,
 // CAB edges deliver a plain unicast frame into the port's fiber. The tree is
 // computed once per (source, member-set) by net::Network::mcast_ref and
-// shared immutably by every frame of the group, exactly like the unicast
-// route cache: nothing about the run mutates it, so shards need no locking.
+// shared immutably by every frame of the group, exactly like a unicast
+// RouteRef: nothing about the run mutates it, so shards need no locking.
 
 #include <cstdint>
 #include <memory>

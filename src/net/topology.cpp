@@ -1,7 +1,6 @@
 #include "net/topology.hpp"
 
 #include <algorithm>
-#include <deque>
 #include <memory>
 #include <stdexcept>
 
@@ -145,6 +144,7 @@ int Network::add_hub(int ports, int shard) {
   if (s >= shard_count())
     throw std::out_of_range("Network::add_hub: shard " + std::to_string(s) + " out of range");
   hub_shard_.push_back(s);
+  adjacency_.emplace_back();
   hubs_.push_back(
       std::make_unique<hw::Hub>(par_->shard(s), "hub" + std::to_string(id), ports));
   return id;
@@ -245,79 +245,71 @@ void Network::link_hubs(int hub_a, int port_a, int hub_b, int port_b, sim::SimTi
     sim::SimTime l = par_->lookahead();
     if (l == 0 || propagation < l) par_->set_lookahead(propagation);
   }
-  trunks_.push_back({hub_a, port_a, hub_b, port_b, propagation});
+  const int t = trunk_count_++;
+  const auto pa = static_cast<std::uint8_t>(port_a);
+  const auto pb = static_cast<std::uint8_t>(port_b);
+  adjacency_[static_cast<std::size_t>(hub_a)].push_back({t, pa, hub_b, pb});
+  adjacency_[static_cast<std::size_t>(hub_b)].push_back({t, pb, hub_a, pa});
 }
 
-const std::vector<std::uint8_t>& Network::hub_path(int src_hub, int dst_hub) const {
-  auto [it, inserted] = hub_path_cache_.try_emplace({src_hub, dst_hub});
-  if (!inserted) return it->second;
-  // BFS over the HUB graph; remember (trunk output port) per step. Same
-  // traversal order as the original per-CAB-pair search, so the cached
-  // bytes are identical — the cache only removes the O(pairs) recompute.
-  //
-  // With route spreading on, the trunk scan starts at a hash of the hub
-  // pair instead of index 0, rotating which equal-length path wins the BFS
-  // tie-break (on a fat-tree: which spine carries this pair). The route is
-  // still a pure function of (src_hub, dst_hub) — nothing about shard
-  // count, seed, or query order feeds the hash — so reports stay invariant
-  // across shard counts and byte-deterministic per run.
-  std::size_t scan_start = 0;
-  if (route_spread_ && !trunks_.empty()) {
-    std::uint64_t h = static_cast<std::uint64_t>(src_hub) * 0x9E3779B97F4A7C15ull;
-    h ^= static_cast<std::uint64_t>(dst_hub) + 0x9E3779B97F4A7C15ull + (h << 6) + (h >> 2);
-    h ^= h >> 33;
-    scan_start = static_cast<std::size_t>(h % trunks_.size());
+std::optional<std::vector<Network::TrunkHop>> Network::find_path(
+    int src_hub, int dst_hub, std::uint64_t rotation, const std::vector<bool>& excluded) const {
+  const auto trunks = static_cast<std::uint64_t>(trunk_count_);
+  const std::size_t first = trunks > 0 ? static_cast<std::size_t>(rotation % trunks) : 0;
+  // from[h]: the HUB that first reached h (-1: not reached); via[h]: the hop.
+  std::vector<int> from(adjacency_.size(), -1);
+  std::vector<const TrunkHop*> via(adjacency_.size(), nullptr);
+  from[static_cast<std::size_t>(src_hub)] = src_hub;
+  std::vector<int> frontier{src_hub};
+  for (std::size_t head = 0;
+       head < frontier.size() && from[static_cast<std::size_t>(dst_hub)] < 0; ++head) {
+    const int cur = frontier[head];
+    auto visit = [&](const TrunkHop& h) {
+      const auto far = static_cast<std::size_t>(h.far_hub);
+      const auto t = static_cast<std::size_t>(h.trunk);
+      if (from[far] >= 0 || (t < excluded.size() && excluded[t])) return;
+      from[far] = cur;
+      via[far] = &h;
+      frontier.push_back(h.far_hub);
+    };
+    const std::vector<TrunkHop>& adj = adjacency_[static_cast<std::size_t>(cur)];
+    auto split = std::find_if(adj.begin(), adj.end(), [first](const TrunkHop& h) {
+      return static_cast<std::size_t>(h.trunk) >= first;
+    });
+    std::for_each(split, adj.end(), visit);
+    std::for_each(adj.begin(), split, visit);
   }
-  struct Step {
-    int hub;
-    std::vector<std::uint8_t> route;
-  };
-  std::deque<Step> frontier{{src_hub, {}}};
-  std::vector<bool> visited(hubs_.size(), false);
-  visited[static_cast<std::size_t>(src_hub)] = true;
-  while (!frontier.empty()) {
-    Step cur = std::move(frontier.front());
-    frontier.pop_front();
-    if (cur.hub == dst_hub) {
-      it->second = std::move(cur.route);
-      return it->second;
-    }
-    for (std::size_t k = 0; k < trunks_.size(); ++k) {
-      const Trunk& t = trunks_[(scan_start + k) % trunks_.size()];
-      if (t.hub_a == cur.hub && !visited[static_cast<std::size_t>(t.hub_b)]) {
-        visited[static_cast<std::size_t>(t.hub_b)] = true;
-        Step next{t.hub_b, cur.route};
-        next.route.push_back(static_cast<std::uint8_t>(t.port_a));
-        frontier.push_back(std::move(next));
-      }
-      if (t.hub_b == cur.hub && !visited[static_cast<std::size_t>(t.hub_a)]) {
-        visited[static_cast<std::size_t>(t.hub_a)] = true;
-        Step next{t.hub_a, cur.route};
-        next.route.push_back(static_cast<std::uint8_t>(t.port_b));
-        frontier.push_back(std::move(next));
-      }
-    }
+  if (from[static_cast<std::size_t>(dst_hub)] < 0) return std::nullopt;
+  std::vector<TrunkHop> path;
+  for (int h = dst_hub; h != src_hub; h = from[static_cast<std::size_t>(h)]) {
+    path.push_back(*via[static_cast<std::size_t>(h)]);
   }
-  hub_path_cache_.erase(it);
-  throw std::logic_error("Network: no route between hub " + std::to_string(src_hub) + " and " +
-                         std::to_string(dst_hub));
+  std::reverse(path.begin(), path.end());
+  return path;
 }
 
-std::vector<std::uint8_t> Network::compute_route(int src, int dst) const {
-  const CabNode& s = *cabs_.at(static_cast<std::size_t>(src));
-  const CabNode& d = *cabs_.at(static_cast<std::size_t>(dst));
-  if (s.hub == d.hub) {
-    return {static_cast<std::uint8_t>(d.port)};
+std::vector<Network::TrunkHop> Network::route_path(int src_hub, int dst_hub) const {
+  // With route spreading on, the rotation is a hash of the hub pair: still
+  // a pure function of (src_hub, dst_hub) — nothing about shard count, seed,
+  // or query order feeds it — so reports stay invariant across shard counts
+  // and byte-deterministic per run.
+  std::uint64_t rotation = 0;
+  if (route_spread_) {
+    rotation = static_cast<std::uint64_t>(src_hub) * 0x9E3779B97F4A7C15ull;
+    rotation ^= static_cast<std::uint64_t>(dst_hub) + 0x9E3779B97F4A7C15ull + (rotation << 6) +
+                (rotation >> 2);
+    rotation ^= rotation >> 33;
   }
-  std::vector<std::uint8_t> r = hub_path(s.hub, d.hub);
-  r.push_back(static_cast<std::uint8_t>(d.port));
-  return r;
+  std::optional<std::vector<TrunkHop>> path = find_path(src_hub, dst_hub, rotation);
+  if (!path) {
+    throw std::logic_error("Network: no route between hub " + std::to_string(src_hub) + " and " +
+                           std::to_string(dst_hub));
+  }
+  return std::move(*path);
 }
 
 const hw::RouteRef& Network::route_ref(int src, int dst) const {
-  auto [it, inserted] = route_cache_.try_emplace({src, dst});
-  if (inserted) it->second = hw::RouteRef(compute_route(src, dst));
-  return it->second;
+  return cabs_.at(static_cast<std::size_t>(src))->dl->route_ref(dst);
 }
 
 const std::vector<std::uint8_t>& Network::route(int src, int dst) const {
@@ -331,14 +323,6 @@ const hw::McastRef& Network::mcast_ref(int src, const std::vector<int>& members)
   auto [it, inserted] = mcast_cache_.try_emplace({src, key_members});
   if (!inserted) return it->second;
 
-  // (hub, output port) -> downstream hub, from the wired trunks: lets the
-  // builder follow the port bytes of each unicast hub path hub by hub.
-  std::map<std::pair<int, int>, int> next_hub;
-  for (const Trunk& t : trunks_) {
-    next_hub[{t.hub_a, t.port_a}] = t.hub_b;
-    next_hub[{t.hub_b, t.port_b}] = t.hub_a;
-  }
-
   const CabNode& s = *cabs_.at(static_cast<std::size_t>(src));
   hw::McastTree tree;
   tree.nodes.emplace_back();  // node 0: the source CAB's own HUB
@@ -351,20 +335,14 @@ const hw::McastRef& Network::mcast_ref(int src, const std::vector<int>& members)
     if (dst == src) continue;  // a node never multicasts to itself
     const CabNode& d = *cabs_.at(static_cast<std::size_t>(dst));
     std::int32_t cur = 0;
-    int cur_hub = s.hub;
-    for (std::uint8_t port : hub_path(s.hub, d.hub)) {
-      auto nh = next_hub.find({cur_hub, static_cast<int>(port)});
-      if (nh == next_hub.end())
-        throw std::logic_error("Network::mcast_ref: hub path uses a non-trunk port");
-      auto [hit, fresh] = hub_node.try_emplace(nh->second);
+    for (const TrunkHop& h : route_path(s.hub, d.hub)) {
+      auto [hit, fresh] = hub_node.try_emplace(h.far_hub);
       if (fresh) {
         hit->second = static_cast<std::int32_t>(tree.nodes.size());
         tree.nodes.emplace_back();
-        tree.nodes[static_cast<std::size_t>(cur)].edges.push_back(
-            {port, hit->second});
+        tree.nodes[static_cast<std::size_t>(cur)].edges.push_back({h.port, hit->second});
       }
       cur = hit->second;
-      cur_hub = nh->second;
     }
     tree.nodes[static_cast<std::size_t>(cur)].edges.push_back(
         {static_cast<std::uint8_t>(d.port), -1});
@@ -393,10 +371,25 @@ const hw::McastRef& Network::mcast_ref(int src, const std::vector<int>& members)
 }
 
 void Network::install_routes() {
-  for (int s = 0; s < cab_count(); ++s) {
-    for (int d = 0; d < cab_count(); ++d) {
-      cabs_[static_cast<std::size_t>(s)]->dl->set_route(d, route_ref(s, d));
+  std::vector<std::vector<int>> on_hub(hubs_.size());
+  for (int n = 0; n < cab_count(); ++n) on_hub[static_cast<std::size_t>(cab_hub(n))].push_back(n);
+  for (int src_hub = 0; src_hub < hub_count(); ++src_hub) {
+    const std::vector<int>& sources = on_hub[static_cast<std::size_t>(src_hub)];
+    if (sources.empty()) continue;
+    // One route per destination, shared by every CAB on this HUB.
+    std::vector<hw::RouteRef> table(cabs_.size());
+    for (int dst_hub = 0; dst_hub < hub_count(); ++dst_hub) {
+      const std::vector<int>& dsts = on_hub[static_cast<std::size_t>(dst_hub)];
+      if (dsts.empty()) continue;
+      std::vector<std::uint8_t> trunk_bytes;
+      for (const TrunkHop& h : route_path(src_hub, dst_hub)) trunk_bytes.push_back(h.port);
+      for (int d : dsts) {
+        std::vector<std::uint8_t> bytes = trunk_bytes;
+        bytes.push_back(static_cast<std::uint8_t>(cab_port(d)));
+        table[static_cast<std::size_t>(d)] = hw::RouteRef(std::move(bytes));
+      }
     }
+    for (int s : sources) cabs_[static_cast<std::size_t>(s)]->dl->set_routes(table);
   }
 }
 

@@ -2,6 +2,7 @@
 
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -23,9 +24,13 @@ class Auditor;
 namespace nectar::net {
 
 /// Builder/owner for a Nectar network: HUBs connected in an arbitrary mesh,
-/// CABs on HUB ports (paper §2, Figure 1). Computes the source routes the
-/// CABs use (§2.1) with a BFS over the HUB graph and installs them in every
-/// datalink.
+/// CABs on HUB ports (paper §2, Figure 1). Keeps the HUB graph as one
+/// adjacency list, filled as link_hubs wires each trunk, and runs the one
+/// route search over it (find_path): the CABs' source routes (§2.1),
+/// route::PathDb's edge-disjoint alternatives and the multicast trees all
+/// come from it. Each route is stored once, in the sending CAB's datalink:
+/// install_routes computes one RouteRef per (source HUB, destination) and
+/// every CAB on that HUB shares it.
 ///
 /// Sharding: the network owns a sim::ParallelEngine with `shards` engines.
 /// Every HUB is assigned to a shard (round-robin by default, or explicitly
@@ -132,48 +137,63 @@ class Network {
   void link_hubs(int hub_a, int port_a, int hub_b, int port_b,
                  sim::SimTime propagation = sim::costs::kLinkPropagation);
 
-  /// A trunk fiber pair between two HUBs, as passed to link_hubs. Exposed so
-  /// the control plane (route::PathDb) can walk the HUB graph itself.
-  struct Trunk {
-    int hub_a, port_a, hub_b, port_b;
-    sim::SimTime propagation;
-  };
-  const std::vector<Trunk>& trunks() const { return trunks_; }
+  /// Trunks wired so far, numbered 0.. in link_hubs order.
+  int trunk_count() const { return trunk_count_; }
 
-  /// Opt-in: spread routes across equal-cost trunks. The BFS route search
-  /// scans trunks_ in wiring order, so on a fat-tree every cross-leaf pair
-  /// tie-breaks to the same first spine — which concentrates all cross-leaf
-  /// switching on one HUB (and, sharded, on one shard). With spreading on,
-  /// the scan starts at a deterministic hash of the (src hub, dst hub)
-  /// pair, so different pairs win different equal-length paths while any
-  /// single pair's route stays a pure function of the pair — independent
-  /// of shard count, seed, or call order. Off by default: the committed
-  /// BENCH_* reports bake in first-trunk routes. Set before any route()
-  /// call; the route caches are filled on first use.
+  /// One trunk crossed by a HUB path: `port` leaves the near HUB onto it
+  /// (the forward route byte), and `far_port` leaves `far_hub` back onto it
+  /// (the reverse route's byte).
+  struct TrunkHop {
+    int trunk;
+    std::uint8_t port;
+    int far_hub;
+    std::uint8_t far_port;
+  };
+
+  /// The route search: a BFS over the HUB graph from `src_hub` to `dst_hub`
+  /// that skips every trunk `t` with `excluded[t]` set. At each HUB it
+  /// tries that HUB's trunks in number order, starting at the first one
+  /// numbered `rotation % trunk_count()` or above and wrapping, so the
+  /// rotation picks which of several equal-length paths wins. Returns the
+  /// hops in order (none when src_hub == dst_hub), or nullopt when no path
+  /// exists.
+  std::optional<std::vector<TrunkHop>> find_path(int src_hub, int dst_hub,
+                                                 std::uint64_t rotation,
+                                                 const std::vector<bool>& excluded = {}) const;
+
+  /// Opt-in: spread routes across equal-cost trunks. With rotation 0 the
+  /// search tries trunks in wiring order, so on a fat-tree every cross-leaf
+  /// pair tie-breaks to the same first spine — which concentrates all
+  /// cross-leaf switching on one HUB (and, sharded, on one shard). With
+  /// spreading on, the rotation is a deterministic hash of the (src hub,
+  /// dst hub) pair, so different pairs win different equal-length paths
+  /// while any single pair's route stays a pure function of the pair —
+  /// independent of shard count, seed, or call order. Off by default: the
+  /// committed BENCH_* reports bake in first-trunk routes. Set before
+  /// install_routes.
   void set_route_spread(bool on) { route_spread_ = on; }
   bool route_spread() const { return route_spread_; }
 
   /// Compute and install source routes between every pair of CABs (and each
   /// CAB to itself, through its own HUB). Call after the topology is built.
-  /// After this, the interned route tables are immutable-after-build: the
-  /// run only reads them (shared RouteRefs), so shards need no locking.
+  /// One route per (source HUB, destination), shared by every CAB on that
+  /// HUB; the datalinks' tables are then the only copy. After this the
+  /// tables are immutable-after-build — the run only reads them, except for
+  /// failover's Datalink::set_route, and a scenario refuses [routing] with
+  /// shards > 1 — so shards need no locking.
   void install_routes();
 
-  /// The raw route (one output-port byte per HUB hop) from `src` to `dst`.
-  /// Backed by the interned cache below, so repeated calls are O(log n).
+  /// The installed route (one output-port byte per HUB hop) from `src` to
+  /// `dst`, read from `src`'s datalink.
   const std::vector<std::uint8_t>& route(int src, int dst) const;
-
-  /// The same route interned as a shared immutable RouteRef — the form the
-  /// datalinks and the control plane hold, computed once per pair.
   const hw::RouteRef& route_ref(int src, int dst) const;
 
   /// Multicast distribution tree from `src` to every CAB in `members`
   /// (src itself is skipped — a node never multicasts to itself). Built by
   /// overlaying the unicast hub paths, so each trunk the union uses carries
-  /// exactly one replica; interned per (src, member set) like the unicast
-  /// route cache and immutable after build, so frames of a collective group
-  /// share one tree with no locking. Call before the run starts (group
-  /// setup time), like route_ref.
+  /// exactly one replica; interned per (src, member set) and immutable
+  /// after build, so frames of a collective group share one tree with no
+  /// locking. Call before the run starts (group setup time).
   const hw::McastRef& mcast_ref(int src, const std::vector<int>& members) const;
 
   /// Run the simulation until the event queue drains or `t` is reached.
@@ -189,10 +209,8 @@ class Network {
     int hub = -1;
     int port = -1;
   };
-  std::vector<std::uint8_t> compute_route(int src, int dst) const;
-  /// Trunk-hop port bytes from hub `a` to hub `b` (BFS, cached per pair —
-  /// every CAB pair on the same HUB pair shares the hub-level path).
-  const std::vector<std::uint8_t>& hub_path(int a, int b) const;
+  /// The unicast hub path: find_path at rotation 0, or at the spread hash.
+  std::vector<TrunkHop> route_path(int src_hub, int dst_hub) const;
 
   std::unique_ptr<sim::ParallelEngine> par_;
   obs::MetricsRegistry metrics_;
@@ -201,12 +219,9 @@ class Network {
   std::vector<std::unique_ptr<hw::Hub>> hubs_;
   std::vector<int> hub_shard_;
   std::vector<std::unique_ptr<CabNode>> cabs_;
-  std::vector<Trunk> trunks_;
-  // BFS routes interned per (src, dst) on first use; host-side cache only,
-  // simulated costs are unaffected. Filled by install_routes before the run
-  // starts — immutable (read-only) while shard threads are active.
-  mutable std::map<std::pair<int, int>, hw::RouteRef> route_cache_;
-  mutable std::map<std::pair<int, int>, std::vector<std::uint8_t>> hub_path_cache_;
+  // Per HUB, the trunks it terminates, in trunk order.
+  std::vector<std::vector<TrunkHop>> adjacency_;
+  int trunk_count_ = 0;
   // Interned multicast trees, keyed by (source, sorted member set) — the
   // canonical form, so permuted member lists share one tree.
   mutable std::map<std::pair<int, std::vector<int>>, hw::McastRef> mcast_cache_;

@@ -38,22 +38,16 @@ void Datalink::trace_instant(const char* label) {
 void Datalink::set_route(int dst_node, hw::RouteRef route) {
   // Intern once: every frame to this destination shares the same immutable
   // route bytes instead of carrying a per-packet copy.
-  routes_[dst_node] = std::move(route);
-}
-
-void Datalink::invalidate_route(int dst_node) { routes_.erase(dst_node); }
-
-const std::vector<std::uint8_t>& Datalink::route_to(int dst_node) const {
-  return route_ref(dst_node).bytes();
+  routes_.at(static_cast<std::size_t>(dst_node)) = std::move(route);
 }
 
 const hw::RouteRef& Datalink::route_ref(int dst_node) const {
-  auto it = routes_.find(dst_node);
-  if (it == routes_.end()) {
+  const auto d = static_cast<std::size_t>(dst_node);  // a negative node wraps past the end
+  if (d >= routes_.size() || routes_[d].empty()) {
     throw std::logic_error(rt_.board().name() + ": no route to node " +
                            std::to_string(dst_node));
   }
-  return it->second;
+  return routes_[d];
 }
 
 void Datalink::register_client(PacketType type, DatalinkClient* client) {

@@ -62,16 +62,17 @@ class Datalink {
 
   // --- routing (source routes, §2.1) ---------------------------------------
 
-  /// Install (or replace at runtime — failover) the route to `dst_node`.
-  /// Accepts an already-interned RouteRef, a raw byte vector, or an
-  /// initializer list; in-flight frames keep the route they were sent with.
+  /// Install the whole route table, indexed by destination node (an empty
+  /// RouteRef: no route). net::Network::install_routes hands every CAB on a
+  /// HUB the same shared RouteRefs.
+  void set_routes(std::vector<hw::RouteRef> table) { routes_ = std::move(table); }
+  /// Replace the installed table's route to `dst_node` (at runtime:
+  /// failover); std::out_of_range for a node outside the table. Accepts an
+  /// already-interned RouteRef, a raw byte vector, or an initializer list;
+  /// in-flight frames keep the route they were sent with.
   void set_route(int dst_node, hw::RouteRef route);
-  /// Remove the route to `dst_node`; subsequent sends throw until a new
-  /// route is installed (the control plane's "no surviving path" state).
-  void invalidate_route(int dst_node);
-  bool has_route(int dst_node) const { return routes_.count(dst_node) > 0; }
-  const std::vector<std::uint8_t>& route_to(int dst_node) const;
-  /// Interned shared route (frames reference it instead of copying).
+  /// Interned shared route (frames reference it instead of copying); throws
+  /// std::logic_error when none is installed.
   const hw::RouteRef& route_ref(int dst_node) const;
 
   // --- protocol registration --------------------------------------------------
@@ -130,7 +131,7 @@ class Datalink {
   void trace_instant(const char* label);
 
   core::CabRuntime& rt_;
-  std::map<int, hw::RouteRef> routes_;
+  std::vector<hw::RouteRef> routes_;  // by destination node
   std::array<DatalinkClient*, 256> clients_{};
 
   // Receives whose DMA has started, oldest first. Held here, not in the DMA

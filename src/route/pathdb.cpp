@@ -1,25 +1,12 @@
 #include "route/pathdb.hpp"
 
 #include <algorithm>
-#include <deque>
 #include <stdexcept>
 #include <string>
 
 #include "sim/random.hpp"
 
 namespace nectar::route {
-
-namespace {
-
-/// One hop of a path through the trunk graph: which trunk, and whether it
-/// was traversed a->b (so the forward route byte is port_a and the reverse
-/// byte is port_b) or b->a.
-struct TrunkHop {
-  int trunk;
-  bool forward;
-};
-
-}  // namespace
 
 PathDb::PathDb(const net::Network& net, int k, std::uint64_t seed)
     : nodes_(net.cab_count()), k_(std::max(1, k)), seed_(seed) {
@@ -37,74 +24,28 @@ void PathDb::build_pair(const net::Network& net, int a, int b) {
     return;
   }
 
-  const std::vector<net::Network::Trunk>& trunks = net.trunks();
-  const int ha = net.cab_hub(a);
-  const int hb = net.cab_hub(b);
-  const int nt = static_cast<int>(trunks.size());
-
-  // Seeded tie-break: rotate the trunk scan order per unordered pair so
+  // Seeded tie-break: rotate the search's trunk order per unordered pair so
   // equal-cost pairs spread across parallel trunks deterministically.
-  std::string pair_name = "ecmp/" + std::to_string(a) + "/" + std::to_string(b);
-  const int rot = nt > 0 ? static_cast<int>(sim::derive_seed(seed_, pair_name) %
-                                            static_cast<std::uint64_t>(nt))
-                         : 0;
+  const std::uint64_t rotation =
+      sim::derive_seed(seed_, "ecmp/" + std::to_string(a) + "/" + std::to_string(b));
 
   std::vector<hw::RouteRef> fwd, rev;
-  std::vector<bool> used(static_cast<std::size_t>(nt), false);
-
+  std::vector<bool> used(static_cast<std::size_t>(net.trunk_count()), false);
   for (int p = 0; p < k_; ++p) {
-    // BFS from ha to hb over trunks not used by earlier paths of this pair.
-    struct Step {
-      int hub;
-      std::vector<TrunkHop> hops;
-    };
-    std::deque<Step> frontier{{ha, {}}};
-    std::vector<bool> visited(static_cast<std::size_t>(net.hub_count()), false);
-    visited[static_cast<std::size_t>(ha)] = true;
-    std::vector<TrunkHop> found;
-    bool ok = false;
-    while (!frontier.empty() && !ok) {
-      Step cur = std::move(frontier.front());
-      frontier.pop_front();
-      if (cur.hub == hb) {
-        found = std::move(cur.hops);
-        ok = true;
-        break;
-      }
-      for (int i = 0; i < nt; ++i) {
-        int ti = (i + rot) % nt;
-        if (used[static_cast<std::size_t>(ti)]) continue;
-        const net::Network::Trunk& t = trunks[static_cast<std::size_t>(ti)];
-        if (t.hub_a == cur.hub && !visited[static_cast<std::size_t>(t.hub_b)]) {
-          visited[static_cast<std::size_t>(t.hub_b)] = true;
-          Step next{t.hub_b, cur.hops};
-          next.hops.push_back({ti, true});
-          frontier.push_back(std::move(next));
-        }
-        if (t.hub_b == cur.hub && !visited[static_cast<std::size_t>(t.hub_a)]) {
-          visited[static_cast<std::size_t>(t.hub_a)] = true;
-          Step next{t.hub_a, cur.hops};
-          next.hops.push_back({ti, false});
-          frontier.push_back(std::move(next));
-        }
-      }
-    }
-    if (!ok) break;  // no further edge-disjoint path exists
+    // A shortest path over the trunks earlier paths of this pair left free.
+    auto hops = net.find_path(net.cab_hub(a), net.cab_hub(b), rotation, used);
+    if (!hops) break;  // no further edge-disjoint path exists
 
     // Forward route: the near-side output port of each trunk hop, then the
     // destination's CAB port. Reverse route: far-side ports in reverse hop
     // order, then the source's CAB port — the exact wire-level reverse.
     std::vector<std::uint8_t> f, r;
-    for (const TrunkHop& h : found) {
-      const net::Network::Trunk& t = trunks[static_cast<std::size_t>(h.trunk)];
-      f.push_back(static_cast<std::uint8_t>(h.forward ? t.port_a : t.port_b));
+    for (const net::Network::TrunkHop& h : *hops) {
+      f.push_back(h.port);
       used[static_cast<std::size_t>(h.trunk)] = true;
     }
     f.push_back(static_cast<std::uint8_t>(net.cab_port(b)));
-    for (auto it = found.rbegin(); it != found.rend(); ++it) {
-      const net::Network::Trunk& t = trunks[static_cast<std::size_t>(it->trunk)];
-      r.push_back(static_cast<std::uint8_t>(it->forward ? t.port_b : t.port_a));
-    }
+    for (auto it = hops->rbegin(); it != hops->rend(); ++it) r.push_back(it->far_port);
     r.push_back(static_cast<std::uint8_t>(net.cab_port(a)));
     fwd.emplace_back(std::move(f));
     rev.emplace_back(std::move(r));

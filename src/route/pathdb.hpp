@@ -2,17 +2,19 @@
 
 // PathDb: k-shortest edge-disjoint source routes per CAB pair.
 //
-// The BFS in net::Network::install_routes computes ONE path per pair; every
-// fault on that path blackholes the pair for the rest of the run. The PathDb
-// computes up to k edge-disjoint alternatives over the HUB trunk graph (the
-// ECMP set the control plane fails over across), interned as hw::RouteRefs.
+// net::Network::install_routes installs ONE path per pair; every fault on
+// that path blackholes the pair for the rest of the run. The PathDb asks the
+// Network's route search (Network::find_path) for up to k edge-disjoint
+// alternatives (the ECMP set the control plane fails over across): each
+// search excludes the trunks of the pair's earlier paths. The paths are
+// interned as hw::RouteRefs.
 //
 // Two properties the health prober depends on, both by construction:
 //
-//  - Determinism: tie-breaks among equal-cost trunks come from a rotation of
-//    the trunk scan order seeded per unordered pair, so the same (topology,
-//    seed) always yields the same path sets, and different pairs spread
-//    across parallel trunks instead of all picking trunk 0.
+//  - Determinism: tie-breaks among equal-cost trunks come from the search's
+//    rotation, seeded per unordered pair, so the same (topology, seed)
+//    always yields the same path sets, and different pairs spread across
+//    parallel trunks instead of all picking trunk 0.
 //  - Reverse symmetry: path i of (b -> a) is the exact trunk-wise reverse of
 //    path i of (a -> b). A probe reply can therefore travel the reverse of
 //    the probed path — health is measured per path round trip, and a fault
@@ -31,7 +33,7 @@ namespace nectar::route {
 class PathDb {
  public:
   /// Computes the path sets for every ordered CAB pair of `net` eagerly
-  /// (the topology is static; n^2 * k BFS at build time, O(log) lookups
+  /// (the topology is static; n^2 * k searches at build time, O(log) lookups
   /// after). `k` caps the ECMP set size; same-HUB pairs always have
   /// exactly one path (the destination port byte).
   PathDb(const net::Network& net, int k, std::uint64_t seed);

@@ -124,7 +124,9 @@ std::size_t FaultScheduler::schedule(const FaultSpec& spec) {
 std::uint64_t FaultScheduler::target_drops(std::size_t idx) const {
   const Target& t = targets_[idx];
   std::uint64_t n = 0;
-  if (t.link != nullptr) n += t.link->frames_dropped();
+  // A corrupted frame is delivered and then discarded by the receiving
+  // datalink's CRC check: lost at this link all the same.
+  if (t.link != nullptr) n += t.link->frames_dropped() + t.link->frames_corrupted();
   if (t.hub != nullptr) n += t.hub->blackout_drops();
   return n;
 }
@@ -215,7 +217,8 @@ std::uint64_t FaultScheduler::total_attributed_drops() const {
 std::uint64_t FaultScheduler::network_drops() const {
   std::uint64_t n = 0;
   for (int i = 0; i < net_.cab_count(); ++i) {
-    n += net_.cab(i).out_link().frames_dropped();
+    const hw::FiberLink& l = net_.cab(i).out_link();
+    n += l.frames_dropped() + l.frames_corrupted();
   }
   for (int h = 0; h < net_.hub_count(); ++h) {
     n += net_.hub(h).blackout_drops() + net_.hub(h).route_errors();

@@ -93,8 +93,9 @@ class FaultScheduler {
   std::size_t faults_injected() const { return records_.size(); }
   std::uint64_t total_attributed_drops() const;
 
-  /// Network-wide frames lost so far: link drops (random + faulted) plus
-  /// HUB blackout discards and route errors.
+  /// Network-wide frames lost so far: link drops (random + faulted) and
+  /// corrupted frames (the receiving datalink's CRC check discards them),
+  /// plus HUB blackout discards and route errors.
   std::uint64_t network_drops() const;
 
  private:
@@ -109,8 +110,9 @@ class FaultScheduler {
   };
 
   Target resolve(const FaultSpec& spec) const;
-  /// Frames lost so far at fault `idx`'s target element (link drops and/or
-  /// HUB blackout discards) — the basis for attribution deltas.
+  /// Frames lost so far at fault `idx`'s target element (link drops and
+  /// corrupted frames, and/or HUB blackout discards) — the basis for
+  /// attribution deltas.
   std::uint64_t target_drops(std::size_t idx) const;
   void apply(std::size_t idx);
   void clear(std::size_t idx);

@@ -67,7 +67,7 @@ int build_topology(net::Network& net, const TopologySpec& spec, std::uint64_t ma
       build_fat_tree(net, spec, par);
       break;
   }
-  // Must precede install_routes: the route caches fill on first lookup.
+  // Must precede install_routes, which computes every route.
   net.set_route_spread(spec.route_spread);
   net.install_routes();
   // One master seed reproduces the whole run: every link derives its fault

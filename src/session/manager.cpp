@@ -88,10 +88,7 @@ std::pair<int, int> SessionManager::connect_rmp_pair(SessionManager& a, SessionM
   return {ta, tb};
 }
 
-int SessionManager::trunk_peer(int trunk) const { return trunk_at(trunk).peer; }
 bool SessionManager::trunk_failed(int trunk) const { return trunk_at(trunk).failed; }
-std::uint32_t SessionManager::outbound_live(int trunk) const { return trunk_at(trunk).outbound_live; }
-std::uint32_t SessionManager::inbound_live(int trunk) const { return trunk_at(trunk).inbound_live; }
 std::uint64_t SessionManager::trunk_tx_msgs(int trunk) const { return trunk_at(trunk).tx_msgs; }
 std::uint64_t SessionManager::trunk_tx_frames(int trunk) const { return trunk_at(trunk).tx_frames; }
 std::uint64_t SessionManager::trunk_tx_fast(int trunk) const { return trunk_at(trunk).tx_fast; }
@@ -195,7 +192,6 @@ void SessionManager::close_channel(ChannelHandle h) {
 }
 
 ChannelState SessionManager::state(ChannelHandle h) const { return chan(h).st; }
-std::uint32_t SessionManager::credit(ChannelHandle h) const { return chan(h).credit; }
 std::uint16_t SessionManager::wire_id(ChannelHandle h) const { return chan(h).id; }
 
 void SessionManager::freeze_inbound_credit(int trunk, std::uint16_t channel, bool frozen) {

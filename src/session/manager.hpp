@@ -101,7 +101,6 @@ class SessionManager {
   static std::pair<int, int> connect_rmp_pair(SessionManager& a, SessionManager& b);
 
   int trunk_count() const { return static_cast<int>(trunks_.size()); }
-  int trunk_peer(int trunk) const;
   bool trunk_failed(int trunk) const;
 
   // --- channels (initiator side) -------------------------------------------
@@ -121,7 +120,6 @@ class SessionManager {
   void close_channel(ChannelHandle h);
 
   ChannelState state(ChannelHandle h) const;
-  std::uint32_t credit(ChannelHandle h) const;
   std::uint16_t wire_id(ChannelHandle h) const;
 
   // --- delivery / notifications --------------------------------------------
@@ -155,8 +153,6 @@ class SessionManager {
   std::uint64_t gen_mismatch_drops() const { return gen_mismatch_drops_; }
   std::uint64_t proto_errors() const { return proto_errors_; }
   std::uint64_t trunk_failures() const { return trunk_failures_; }
-  std::uint32_t outbound_live(int trunk) const;
-  std::uint32_t inbound_live(int trunk) const;
   std::uint64_t trunk_tx_msgs(int trunk) const;
   std::uint64_t trunk_tx_frames(int trunk) const;
   std::uint64_t trunk_tx_fast(int trunk) const;

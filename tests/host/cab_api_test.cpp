@@ -57,6 +57,36 @@ TEST(CabNectarineTest, ReliableSendAcrossNodes) {
   EXPECT_EQ(got, "reliable");
 }
 
+TEST(CabNectarineTest, DatagramSendAcrossNodes) {
+  net::NectarSystem sys(2);
+  CabNectarine nin0(sys.runtime(0), sys.stack(0).datagram, sys.stack(0).rmp,
+                    sys.stack(0).reqresp);
+  CabNectarine nin1(sys.runtime(1), sys.stack(1).datagram, sys.stack(1).rmp,
+                    sys.stack(1).reqresp);
+  core::Mailbox& inbox = sys.runtime(1).create_mailbox("in");
+  std::string got;
+  sys.runtime(1).fork_app("rx", [&] {
+    auto mb = nin1.attach(inbox);
+    core::Message m = nin1.begin_get(mb);
+    std::vector<std::uint8_t> buf(m.len);
+    nin1.read_message(m, buf);
+    got.assign(buf.begin(), buf.end());
+    nin1.end_get(mb, m);
+  });
+  sys.runtime(0).fork_app("tx", [&] {
+    auto s = nin0.create_mailbox("s");
+    core::Message m = nin0.begin_put(s, 8);
+    const char* text = "datagram";
+    nin0.write_message(m, std::span<const std::uint8_t>(
+                              reinterpret_cast<const std::uint8_t*>(text), 8));
+    nin0.send_datagram(inbox.address(), m);
+  });
+  sys.engine().run();
+  EXPECT_EQ(got, "datagram");
+  EXPECT_EQ(sys.stack(0).datagram.datagrams_sent(), 1u);
+  EXPECT_EQ(sys.stack(1).datagram.datagrams_delivered(), 1u);
+}
+
 TEST(CabNectarineTest, RemoteTaskStartMirrorsHostApi) {
   // The same start_remote_task call shape as HostNectarine — here issued
   // from a CAB task instead of a host process.

@@ -84,6 +84,24 @@ TEST(Topology, PaperScaleDeployment) {
   EXPECT_EQ(net.route(25, 3).size(), 2u);
 }
 
+TEST(Topology, CabsOnOneHubShareEachRoute) {
+  // Each route is stored once per (source HUB, destination): every CAB on a
+  // HUB holds the same RouteRef, and Network::route reads it.
+  Network net;
+  int h1 = net.add_hub();
+  int h2 = net.add_hub();
+  net.link_hubs(h1, 15, h2, 15);
+  for (int i = 0; i < 3; ++i) net.add_cab(h1, i);
+  for (int i = 0; i < 3; ++i) net.add_cab(h2, i);
+  net.install_routes();
+  for (int d = 0; d < 6; ++d) {
+    EXPECT_EQ(&net.route(1, d), &net.route(0, d)) << "dst " << d;
+    EXPECT_EQ(&net.route(2, d), &net.route(0, d)) << "dst " << d;
+    EXPECT_EQ(&net.route(4, d), &net.route(3, d)) << "dst " << d;
+    EXPECT_EQ(&net.datalink(4).route_ref(d).bytes(), &net.route(3, d)) << "dst " << d;
+  }
+}
+
 TEST(NectarSystemTest, RejectsMoreThanSixteenCabs) {
   EXPECT_THROW(NectarSystem sys(17), std::invalid_argument);
   EXPECT_THROW(NectarSystem sys(0), std::invalid_argument);

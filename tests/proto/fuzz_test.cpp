@@ -208,6 +208,47 @@ TEST(Fuzz, MalformedCollHeadersAreCounted) {
   EXPECT_EQ(eng[0]->stale_drops(), 0u);
 }
 
+TEST(Fuzz, FarAheadCollSequencesAreCounted) {
+  // Members are at most one collective apart, so a frame whose sequence runs
+  // two or more ahead of the root's live one is forged. Buffering each such
+  // sequence would grow the root's state without bound.
+  net::NectarSystem sys(3);
+  coll::GroupSpec g;
+  g.id = 1;
+  g.members = {0, 1, 2};
+  std::vector<std::unique_ptr<coll::CollectiveEngine>> eng;
+  for (int i = 0; i < 3; ++i) {
+    eng.push_back(std::make_unique<coll::CollectiveEngine>(sys.net().datalink(i)));
+    eng.back()->join_group(g);
+  }
+  constexpr std::uint32_t kForged = 40;
+  sys.runtime(1).fork_system("attacker", [&] {
+    for (std::uint32_t i = 0; i < kForged; ++i) {
+      coll::CollHeader h;
+      h.group = g.id;
+      h.epoch = g.epoch;
+      h.kind = coll::MsgKind::Arrive;
+      h.src_rank = 1;
+      h.seq = 3 + i * 104729;  // the live sequence is 1
+      std::vector<std::uint8_t> hdr(coll::CollHeader::kSize);
+      h.serialize(hdr);
+      sys.net().datalink(1).send(PacketType::Coll, 0, std::move(hdr), hw::kDataBase, 0);
+    }
+  });
+  sys.net().run_until(sim::msec(10));
+  EXPECT_EQ(eng[0]->msgs_received(), kForged);
+  EXPECT_EQ(eng[0]->stale_drops(), kForged);
+
+  int passed = 0;
+  for (int i = 0; i < 3; ++i) {
+    sys.runtime(i).fork_app("barrier", [&, i] {
+      if (eng[static_cast<std::size_t>(i)]->barrier(g.id)) ++passed;
+    });
+  }
+  sys.net().run_until(sim::msec(100));
+  EXPECT_EQ(passed, 3);
+}
+
 TEST(Fuzz, SessionFramesOfUnknownTypeAreCounted) {
   net::NectarSystem sys(2);
   session::SessionManager a(sys.runtime(0), 0, sys.stack(0).rmp, {});

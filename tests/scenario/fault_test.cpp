@@ -141,6 +141,28 @@ TEST(FaultSchedulerTest, LinkDownWindowThenRecovery) {
   EXPECT_GT(r.attributed_drops, 0u);
 }
 
+TEST(FaultSchedulerTest, LinkCorruptLossesAreCounted) {
+  // A corrupted frame crosses the link and dies at the receiver's CRC check;
+  // the fault's drops and the network's drops must count it all the same.
+  Fixture fx(50);
+  FaultScheduler fs(fx.sys.net(), 1);
+  FaultSpec f;
+  f.kind = FaultKind::LinkCorrupt;
+  f.target = "node0.link";
+  f.at = sim::msec(10);
+  f.duration = sim::msec(20);
+  f.rate = 0.5;
+  fs.schedule(f);
+  fx.sys.engine().run_until(sim::msec(200));
+  fs.finalize();
+  const std::uint64_t corrupted = fx.sys.net().cab(0).out_link().frames_corrupted();
+  EXPECT_GT(corrupted, 0u);
+  EXPECT_EQ(fx.sys.net().datalink(1).dropped_crc(), corrupted);
+  EXPECT_EQ(fx.delivered + static_cast<int>(corrupted), 50);
+  EXPECT_EQ(fs.records().at(0).attributed_drops, corrupted);
+  EXPECT_EQ(fs.network_drops(), corrupted);
+}
+
 TEST(FaultSchedulerTest, HubBlackoutDiscardsAtTheSwitch) {
   Fixture fx(50);
   FaultScheduler fs(fx.sys.net(), 1);
