@@ -19,7 +19,9 @@ class RunQueue {
   std::size_t size() const { return size_; }
 
  private:
-  // Key is -priority so begin() is the best level.
+  // Key is -priority so begin() is the best level. A level stays once made
+  // (in practice there are two: system and application), so a context
+  // switch builds no map node or deque.
   std::map<int, std::deque<Thread*>> levels_;
   std::size_t size_ = 0;
 };

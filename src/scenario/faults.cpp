@@ -127,7 +127,9 @@ std::uint64_t FaultScheduler::target_drops(std::size_t idx) const {
   // A corrupted frame is delivered and then discarded by the receiving
   // datalink's CRC check: lost at this link all the same.
   if (t.link != nullptr) n += t.link->frames_dropped() + t.link->frames_corrupted();
-  if (t.hub != nullptr) n += t.hub->blackout_drops();
+  // Only the target's own output port: another fault may black out a
+  // different port of the same HUB at the same time.
+  if (t.hub != nullptr) n += t.hub->output_blackout_drops(t.port);
   return n;
 }
 

@@ -111,8 +111,8 @@ class FaultScheduler {
 
   Target resolve(const FaultSpec& spec) const;
   /// Frames lost so far at fault `idx`'s target element (link drops and
-  /// corrupted frames, and/or HUB blackout discards) — the basis for
-  /// attribution deltas.
+  /// corrupted frames, and/or the target port's HUB blackout discards) —
+  /// the basis for attribution deltas.
   std::uint64_t target_drops(std::size_t idx) const;
   void apply(std::size_t idx);
   void clear(std::size_t idx);

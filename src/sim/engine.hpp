@@ -1,8 +1,9 @@
 #pragma once
 
+#include <array>
+#include <bit>
 #include <cstdint>
 #include <functional>
-#include <queue>
 #include <vector>
 
 #include "sim/action.hpp"
@@ -28,8 +29,18 @@ class ParallelEngine;
 /// Events live in a slab of pooled slots (free-list recycled) holding their
 /// callables inline; an EventId is a generation-checked handle into the slab,
 /// so cancel() is O(1) and stale handles (fired, cancelled, or recycled
-/// events) are rejected without any map lookup. The heap only orders
-/// lightweight (time, seq, handle) entries.
+/// events) are rejected without any map lookup. Cancelled entries stay queued
+/// and are skipped when they surface.
+///
+/// The queue is a monotone radix heap of (time, handle) entries. Bucket k > 0
+/// holds entries whose time first differs from the queue's base at bit k-1;
+/// bucket 0 holds the entries at the base, consumed from the front. When
+/// bucket 0 runs dry, the lowest non-empty bucket's earliest time becomes the
+/// base and that bucket is redistributed, in order, into lower buckets. Equal
+/// times always share a bucket and every move keeps their order, so ties fire
+/// in schedule order without a sequence number. A schedule below the base
+/// (possible after a peek moved the base past now()) re-buckets every entry
+/// against the new base; rebuckets() counts those O(n) passes.
 class Engine {
  public:
   using EventId = std::uint64_t;
@@ -58,8 +69,9 @@ class Engine {
   /// Run until the queue is empty.
   void run();
 
-  /// Run until simulated time `t` (events at exactly `t` are processed).
-  /// Returns true if the queue still has later events.
+  /// Run until simulated time `t` (events at exactly `t` are processed),
+  /// then advance the clock to `t` unless it is already past it. Returns true
+  /// iff a live (uncancelled) event remains after `t`.
   bool run_until(SimTime t);
 
   /// Run until `pred()` becomes true or the queue drains.
@@ -80,6 +92,8 @@ class Engine {
   std::uint64_t pool_reuses() const { return pool_reuses_; }
   /// Scheduled actions whose captures spilled to the heap (SBO miss).
   std::uint64_t heap_actions() const { return heap_actions_; }
+  /// Schedules below the queue's base, each of which re-bucketed every entry.
+  std::uint64_t rebuckets() const { return rebuckets_; }
 
   /// Report queue/pool statistics as probes under (node, "sim.engine").
   /// The engine is network-wide, so callers conventionally pass node -1.
@@ -96,7 +110,7 @@ class Engine {
   int shard_id() const { return shard_id_; }
 
   /// Earliest live event time, or -1 if the queue is empty. Prunes
-  /// cancelled entries from the heap top while peeking.
+  /// cancelled entries from the queue front while peeking.
   SimTime next_event_time();
 
   /// Schedule `fn` at time `t` on `dst`, which may live on another shard.
@@ -120,11 +134,7 @@ class Engine {
 
   struct QueueEntry {
     SimTime time;
-    std::uint64_t seq;  // global insertion order: ties on `time` fire FIFO
     EventId id;
-    bool operator>(const QueueEntry& o) const {
-      return time != o.time ? time > o.time : seq > o.seq;
-    }
   };
 
   // EventId layout: (slot index + 1) << 32 | generation. The +1 keeps 0 free
@@ -135,17 +145,42 @@ class Engine {
   /// The slot an id refers to iff the id is live; nullptr for stale handles.
   Slot* live_slot(EventId id);
   void release_slot(std::size_t slot_index);
+  /// Release `s` and run its action at time `t`.
+  void fire(Slot& s, SimTime t);
+
+  /// Append `e` to the bucket its time falls in relative to base_.
+  void place(const QueueEntry& e) {
+    auto k = std::bit_width(static_cast<std::uint64_t>(e.time ^ base_));
+    buckets_[k].push_back(e);
+    occupied_ |= std::uint64_t{1} << k;
+  }
+  /// Make the earliest entry (possibly cancelled) bucket 0's front, at
+  /// buckets_[0][head_]. Only called while a live event is queued.
+  void settle() {
+    if (head_ == buckets_[0].size()) refill();
+  }
+  /// Bucket 0 is spent: the lowest non-empty bucket's earliest time becomes
+  /// the base, and that bucket is redistributed into lower ones.
+  void refill();
+  /// Re-bucket every entry against `base`, which is below base_.
+  void rebase(SimTime base);
 
   SimTime now_ = 0;
-  std::uint64_t next_seq_ = 1;
   std::uint64_t processed_ = 0;
   std::size_t live_ = 0;
-  std::priority_queue<QueueEntry, std::vector<QueueEntry>, std::greater<>> queue_;
+  // SimTime is non-negative, so times differ from the base in bits 0..62
+  // and 64 buckets cover them.
+  std::array<std::vector<QueueEntry>, 64> buckets_;
+  std::size_t head_ = 0;        // bucket 0's entries before head_ have popped
+  std::uint64_t occupied_ = 0;  // bit k set iff bucket k may hold entries
+  SimTime base_ = 0;            // every queued entry's time is >= base_
+  std::vector<QueueEntry> rebase_scratch_;
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_;
 
   std::uint64_t pool_reuses_ = 0;
   std::uint64_t heap_actions_ = 0;
+  std::uint64_t rebuckets_ = 0;
 
   ParallelEngine* coordinator_ = nullptr;
   int shard_id_ = 0;

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdio>
+#include <string>
 
 #include "net/system.hpp"
 #include "scenario/engine.hpp"
@@ -178,6 +180,50 @@ TEST(FaultSchedulerTest, HubBlackoutDiscardsAtTheSwitch) {
   EXPECT_GT(fx.sys.net().hub(0).blackout_drops(), 0u);
   EXPECT_FALSE(fx.sys.net().hub(0).port_blackout(1));
   EXPECT_EQ(fs.records().at(0).attributed_drops, fx.sys.net().hub(0).blackout_drops());
+}
+
+TEST(FaultSchedulerTest, OverlappingBlackoutsCountOnlyTheirOwnPort) {
+  // Three CABs on one HUB; node 0 alternates paced datagrams to nodes 1
+  // and 2, and both of their HUB ports black out over overlapping windows.
+  net::NectarSystem sys(3);
+  std::array<core::Mailbox*, 3> sinks{};
+  for (int n : {1, 2}) {
+    core::Mailbox& sink = sys.runtime(n).create_mailbox("sink");
+    sinks[static_cast<std::size_t>(n)] = &sink;
+    sys.runtime(n).fork_system("count", [&sink] {
+      for (;;) {
+        core::Message m = sink.begin_get();
+        sink.end_get(m);
+      }
+    });
+  }
+  sys.runtime(0).fork_system("send", [&sys, sinks] {
+    core::Mailbox& scratch = sys.runtime(0).create_mailbox("scratch");
+    for (std::size_t i = 0; i < 100; ++i) {
+      sys.stack(0).datagram.send(sinks[1 + i % 2]->address(), scratch.begin_put(64));
+      sys.runtime(0).cpu().sleep_for(sim::msec(1));
+    }
+  });
+  FaultScheduler fs(sys.net(), 1);
+  for (int n : {1, 2}) {
+    FaultSpec f;
+    f.kind = FaultKind::HubBlackout;
+    f.target = "hub0.port" + std::to_string(sys.net().cab_port(n));
+    f.at = sim::msec(10 * n);
+    f.duration = sim::msec(30);
+    fs.schedule(f);
+  }
+  sys.engine().run_until(sim::msec(200));
+  fs.finalize();
+  const hw::Hub& hub = sys.net().hub(0);
+  for (int n : {1, 2}) {
+    std::uint64_t own = hub.output_blackout_drops(sys.net().cab_port(n));
+    EXPECT_GT(own, 0u) << "node " << n;
+    EXPECT_EQ(fs.records().at(static_cast<std::size_t>(n - 1)).attributed_drops, own)
+        << "node " << n;
+  }
+  EXPECT_EQ(fs.total_attributed_drops(), hub.blackout_drops());
+  EXPECT_LE(fs.total_attributed_drops(), fs.network_drops());
 }
 
 TEST(FaultSchedulerTest, CabCrashIsolatesBothDirectionsThenReboots) {

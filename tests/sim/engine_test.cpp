@@ -96,6 +96,20 @@ TEST(Engine, RunUntilStopsAtBoundary) {
   EXPECT_EQ(e.now(), 100);  // clock advances to the requested time
 }
 
+TEST(Engine, RunUntilBeforeNowKeepsTheClock) {
+  Engine e;
+  std::vector<SimTime> fired;
+  e.schedule_at(100, [&] { fired.push_back(e.now()); });
+  e.schedule_at(500, [&] { fired.push_back(e.now()); });
+  EXPECT_TRUE(e.run_until(200));
+  EXPECT_EQ(e.now(), 200);
+  EXPECT_TRUE(e.run_until(50));  // a horizon behind the clock leaves it alone
+  EXPECT_EQ(e.now(), 200);
+  EXPECT_THROW(e.schedule_at(60, [] {}), std::logic_error);
+  e.run();
+  EXPECT_EQ(fired, (std::vector<SimTime>{100, 500}));
+}
+
 TEST(Engine, RunUntilWithEmptyQueueAdvancesClock) {
   Engine e;
   EXPECT_FALSE(e.run_until(500));
