@@ -114,19 +114,6 @@ void CausalTracer::finish(const TraceContext& ctx) {
   t->tag_keys.clear();
 }
 
-// --- rx ambient ---------------------------------------------------------------
-
-CausalTracer::RxScope::RxScope(const TraceContext& ctx) : t_(active_) {
-  if (t_ != nullptr) {
-    saved_ = t_->rx_ambient_;
-    t_->rx_ambient_ = ctx;
-  }
-}
-
-CausalTracer::RxScope::~RxScope() {
-  if (t_ != nullptr) t_->rx_ambient_ = saved_;
-}
-
 // --- address tags -------------------------------------------------------------
 
 void CausalTracer::erase_tags_overlapping(std::uint64_t key, std::size_t len) {

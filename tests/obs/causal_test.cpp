@@ -195,28 +195,6 @@ TEST(CausalTracer, OverlappingTagOverwritesAndInvalidClears) {
   EXPECT_FALSE(t.lookup(0, 0x2050).valid());
 }
 
-TEST(CausalTracer, RxScopePublishesAndRestores) {
-  sim::Engine e;
-  CausalTracer::Options opt;
-  opt.sample = 1.0;
-  CausalTracer t(e, 1, opt);
-  t.activate();
-  TraceContext outer = t.maybe_start("f", 0, 1, 0);
-  TraceContext inner = t.maybe_start("f", 0, 1, 1);
-  EXPECT_FALSE(t.rx_context().valid());
-  {
-    CausalTracer::RxScope s1(outer);
-    EXPECT_EQ(t.rx_context().trace_id, outer.trace_id);
-    {
-      CausalTracer::RxScope s2(inner);
-      EXPECT_EQ(t.rx_context().trace_id, inner.trace_id);
-    }
-    EXPECT_EQ(t.rx_context().trace_id, outer.trace_id);
-  }
-  EXPECT_FALSE(t.rx_context().valid());
-  t.deactivate();
-}
-
 TEST(CriticalPathAnalyzer, ClassifiesLossWaitByRerouteWindow) {
   sim::Engine e;
   CausalTracer::Options opt;
