@@ -183,6 +183,9 @@ class CollectiveEngine : public proto::DatalinkClient {
   /// sweep when no tree was installed). `payload`/`len` only for BcastData.
   void send_fanout(Group& g, MsgKind kind, std::uint64_t value, std::uint8_t rop,
                    hw::CabAddr payload = 0, std::size_t len = 0);
+  /// Head-sample one message to `dst_node` (-1: the multicast tree); a
+  /// sampled message's trace opens with its "tx.coll" stage here.
+  obs::TraceContext start_trace(MsgKind kind, int dst_node, std::uint64_t seq);
   void handle_msg(const CollHeader& h, const core::Message& m);
   void handle_stale(Group& g, const CollHeader& h);
 

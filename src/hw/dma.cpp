@@ -26,9 +26,7 @@ void DmaController::start_recv(CabAddr dst, std::size_t skip, RecvDone done) {
   recv_busy_ = true;
 
   const FiberInFifo::ArrivedFrame& front = in_fifo_.front();
-  if (front.frame.trace.valid() && dst != kDiscard) {
-    if (auto* ct = obs::CausalTracer::active()) ct->stage(front.frame.trace, "rx.dma");
-  }
+  if (dst != kDiscard) obs::stage(front.frame.trace, "rx.dma");
   std::size_t payload_len = front.frame.payload.size();
   std::size_t copy_len = payload_len > skip ? payload_len - skip : 0;
   if (dst != kDiscard && copy_len > 0) check_dma_range(dst, copy_len);
@@ -71,9 +69,7 @@ void DmaController::start_send(Frame f, std::span<const std::uint8_t> header, Ca
                                obs::TraceContext trace) {
   if (len > 0) check_dma_range(src, len);
   f.trace = trace;
-  if (trace.valid()) {
-    if (auto* ct = obs::CausalTracer::active()) ct->stage(trace, "tx.dma");
-  }
+  obs::stage(trace, "tx.dma");
   // Gather [header][payload] into one pooled buffer: the header bytes come
   // from the CPU's composition buffer, the payload from CAB data memory.
   f.payload = PooledBytes(header.size() + len);

@@ -17,9 +17,7 @@ bool FiberInFifo::offer(Frame&& f, sim::SimTime first_byte, sim::SimTime last_by
   }
   used_ += need;
   ++accepted_;
-  if (f.trace.valid()) {
-    if (auto* ct = obs::CausalTracer::active()) ct->stage(f.trace, "rx.fifo");
-  }
+  obs::stage(f.trace, "rx.fifo");
   arrived_.push_back({std::move(f), first_byte, last_byte});
   if (arrival_) arrival_();
   return true;

@@ -84,12 +84,9 @@ void Hub::set_port_blackout(int port, bool on) {
     blackout_drops_ += o.queue.size();
     blackout_pre_ += o.queue.size();  // never reached frames_switched_
     o.blackout_drops += o.queue.size();
-    if (auto* ct = obs::CausalTracer::active()) {
-      for (const QueuedFrame& qf : o.queue) {
-        if (!qf.frame.trace.valid()) continue;
-        ct->annotate(qf.frame.trace, "drop.blackout");
-        ct->stage(qf.frame.trace, "loss.wait", name_ + ".port" + std::to_string(port));
-      }
+    for (const QueuedFrame& qf : o.queue) {
+      obs::annotate(qf.frame.trace, "drop.blackout");
+      obs::stage(qf.frame.trace, "loss.wait", name_, port);
     }
     o.queue.clear();
     if (o.blocked.has_value()) {
@@ -135,7 +132,6 @@ void Hub::route_frame(int in_port, Frame&& f, sim::SimTime first, sim::SimTime l
   }
   int out;
   std::optional<int> circuit = circuit_output(in_port);
-  obs::CausalTracer* ct = f.trace.valid() ? obs::CausalTracer::active() : nullptr;
   if (f.remaining_hops() > 0) {
     out = f.next_port();
     ++f.hops_done;  // the HUB consumes one route byte (source routing)
@@ -143,10 +139,8 @@ void Hub::route_frame(int in_port, Frame&& f, sim::SimTime first, sim::SimTime l
     out = *circuit;  // established circuit: no route byte needed
   } else {
     ++route_errors_;
-    if (ct != nullptr) {
-      ct->annotate(f.trace, "drop.route_error");
-      ct->stage(f.trace, "loss.wait", name_);
-    }
+    obs::annotate(f.trace, "drop.route_error");
+    obs::stage(f.trace, "loss.wait", name_);
     return;  // undeliverable: route exhausted and no circuit
   }
   enqueue_out(in_port, out, std::move(f), first, last);
@@ -188,16 +182,13 @@ void Hub::replicate_mcast(int in_port, Frame&& f, sim::SimTime first, sim::SimTi
 }
 
 void Hub::enqueue_out(int in_port, int out, Frame&& f, sim::SimTime first, sim::SimTime last) {
-  obs::CausalTracer* ct = f.trace.valid() ? obs::CausalTracer::active() : nullptr;
   if (out < 0 || out >= num_ports() || outputs_[static_cast<std::size_t>(out)].sink == nullptr) {
     ++route_errors_;
     // A bad route byte that still names a real port is attributed to that
     // port; a byte beyond the radix has no port to charge.
     if (out >= 0 && out < num_ports()) ++outputs_[static_cast<std::size_t>(out)].route_errors;
-    if (ct != nullptr) {
-      ct->annotate(f.trace, "drop.route_error");
-      ct->stage(f.trace, "loss.wait", name_);
-    }
+    obs::annotate(f.trace, "drop.route_error");
+    obs::stage(f.trace, "loss.wait", name_);
     return;
   }
   OutputPort& o = outputs_[static_cast<std::size_t>(out)];
@@ -205,16 +196,12 @@ void Hub::enqueue_out(int in_port, int out, Frame&& f, sim::SimTime first, sim::
     ++blackout_drops_;  // dead output: the frame is silently lost
     ++blackout_pre_;
     ++o.blackout_drops;
-    if (ct != nullptr) {
-      ct->annotate(f.trace, "drop.blackout");
-      ct->stage(f.trace, "loss.wait", name_ + ".port" + std::to_string(out));
-    }
+    obs::annotate(f.trace, "drop.blackout");
+    obs::stage(f.trace, "loss.wait", name_, out);
     return;
   }
-  if (ct != nullptr) {
-    ++f.trace.hop;  // one switch traversal
-    ct->stage(f.trace, "hub.queue", name_ + ".port" + std::to_string(out));
-  }
+  if (f.trace.valid()) ++f.trace.hop;  // one switch traversal
+  obs::stage(f.trace, "hub.queue", name_, out);
   o.queue.push_back({std::move(f), first, last, in_port});
   o.highwater = std::max(o.highwater, o.queue.size());
   try_forward(out);
@@ -230,11 +217,7 @@ void Hub::try_forward(int out_port) {
   QueuedFrame qf = std::move(o.queue.front());
   o.queue.pop_front();
   o.transmitting = true;
-  if (qf.frame.trace.valid()) {
-    if (auto* ct = obs::CausalTracer::active()) {
-      ct->stage(qf.frame.trace, "hub.fwd", name_ + ".port" + std::to_string(out_port));
-    }
-  }
+  obs::stage(qf.frame.trace, "hub.fwd", name_, out_port);
 
   sim::SimTime ttime =
       sim::transmit_time(static_cast<std::int64_t>(qf.frame.wire_bytes()), rate_);

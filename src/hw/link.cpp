@@ -20,9 +20,7 @@ void FiberLink::attach(FrameSink* sink) {
 }
 
 void FiberLink::submit(Frame&& f, SendCallback on_sent) {
-  if (f.trace.valid()) {
-    if (auto* ct = obs::CausalTracer::active()) ct->stage(f.trace, "link.queue", name_);
-  }
+  obs::stage(f.trace, "link.queue", name_);
   queue_.push_back({std::move(f), std::move(on_sent)});
   try_start();
 }
@@ -61,9 +59,7 @@ void FiberLink::try_start() {
   ++frames_sent_;
   bytes_sent_ += f.wire_bytes();
   if (pcap_ != nullptr) pcap_->frame(engine_.now(), f.payload.bytes());
-  if (f.trace.valid()) {
-    if (auto* ct = obs::CausalTracer::active()) ct->stage(f.trace, "link.tx", name_);
-  }
+  obs::stage(f.trace, "link.tx", name_);
 
   // The head serializes one frame at a time, so explicit-stamp spans on the
   // wire track never overlap.
@@ -80,24 +76,16 @@ void FiberLink::try_start() {
     ++frames_dropped_;
     ++frames_dropped_faulted_;  // element failure, not the random stream
     if (obs::tracing(tracer_)) tracer_->instant(trace_track_, "link.drop");
-    if (f.trace.valid()) {
-      if (auto* ct = obs::CausalTracer::active()) {
-        ct->annotate(f.trace, "drop.link_down");
-        ct->stage(f.trace, "loss.wait", name_);
-      }
-    }
+    obs::annotate(f.trace, "drop.link_down");
+    obs::stage(f.trace, "loss.wait", name_);
     return;
   }
 
   if (drop_rate_ > 0 && drop_rng_.chance(drop_rate_)) {
     ++frames_dropped_;  // the frame evaporates mid-flight
     if (obs::tracing(tracer_)) tracer_->instant(trace_track_, "link.drop");
-    if (f.trace.valid()) {
-      if (auto* ct = obs::CausalTracer::active()) {
-        ct->annotate(f.trace, "drop.link");
-        ct->stage(f.trace, "loss.wait", name_);
-      }
-    }
+    obs::annotate(f.trace, "drop.link");
+    obs::stage(f.trace, "loss.wait", name_);
     return;
   }
 

@@ -239,12 +239,8 @@ void Tcp::retransmit_head(TcpConnection* c) {
       chunk = std::min<std::size_t>(chunk, c->snd_end_ - c->snd_una_);
       ++c->retransmissions_;
       c->rtt_samples_.clear();  // Karn
-      if (item.ctx.valid()) {
-        if (auto* ct = obs::CausalTracer::active()) {
-          ct->annotate(item.ctx, "tcp.retx");
-          ct->stage(item.ctx, "tx.tcp", "node" + std::to_string(ip_.runtime().node_id()));
-        }
-      }
+      obs::annotate(item.ctx, "tcp.retx");
+      obs::stage(item.ctx, "tx.tcp", ip_.runtime().node_id());
       emit(c, kTcpAck | kTcpPsh, c->snd_una_, item.msg.data + off, chunk, item.ctx);
       return;
     }
@@ -301,11 +297,7 @@ void Tcp::emit(TcpConnection* c, std::uint8_t flags, std::uint32_t seq, hw::CabA
 void Tcp::send(TcpConnection* c, core::Message data, bool free_when_acked,
                obs::TraceContext tctx) {
   core::LockGuard g(lock_);
-  if (tctx.valid()) {
-    if (auto* ct = obs::CausalTracer::active()) {
-      ct->stage(tctx, "tx.tcp.queue", "node" + std::to_string(ip_.runtime().node_id()));
-    }
-  }
+  obs::stage(tctx, "tx.tcp.queue", ip_.runtime().node_id());
   c->send_queue_.push_back({data, c->snd_end_, free_when_acked, tctx});
   c->snd_end_ += data.len;
   try_transmit(c);
@@ -368,13 +360,9 @@ void Tcp::try_transmit(TcpConnection* c) {
     chunk = std::min<std::size_t>(chunk, item->msg.len - off);
     c->rtt_samples_.emplace(c->snd_nxt_ + static_cast<std::uint32_t>(chunk),
                             runtime().engine().now());
-    if (off == 0 && item->ctx.valid()) {
-      // First transmission of a traced message's first segment: close the
-      // window-wait ("tx.tcp.queue") stage.
-      if (auto* ct = obs::CausalTracer::active()) {
-        ct->stage(item->ctx, "tx.tcp", "node" + std::to_string(ip_.runtime().node_id()));
-      }
-    }
+    // First transmission of a traced message's first segment: close the
+    // window-wait ("tx.tcp.queue") stage.
+    if (off == 0) obs::stage(item->ctx, "tx.tcp", ip_.runtime().node_id());
     emit(c, kTcpAck | kTcpPsh, c->snd_nxt_, item->msg.data + off, chunk, item->ctx);
     c->snd_nxt_ += static_cast<std::uint32_t>(chunk);
   }
@@ -531,12 +519,8 @@ void Tcp::process_segment(core::Message m) {
   core::Cpu& cpu = runtime().cpu();
   hw::CabMemory& mem = runtime().board().memory();
   core::LockGuard g(lock_);
-  obs::CausalTracer* ct = obs::CausalTracer::active();
-  obs::TraceContext rctx = ct != nullptr ? ct->lookup(ip_.runtime().node_id(), m.data)
-                                         : obs::TraceContext{};
-  if (ct != nullptr && rctx.valid()) {
-    ct->stage(rctx, "rx.tcp", "node" + std::to_string(ip_.runtime().node_id()));
-  }
+  obs::TraceContext rctx = obs::trace_at(ip_.runtime().node_id(), m.data);
+  obs::stage(rctx, "rx.tcp", ip_.runtime().node_id());
   obs::CostScope scope("tcp/input");
   cpu.charge(costs::kTcpSegment);
   ++segs_rcvd_;
@@ -563,10 +547,8 @@ void Tcp::process_segment(core::Message m) {
     ck.update(mem.view(m.data + IpHeader::kSize, tcp_len));
     if (ck.value() != 0) {
       ++bad_checksum_;
-      if (ct != nullptr && rctx.valid()) {
-        ct->annotate(rctx, "drop.tcp_checksum");
-        ct->stage(rctx, "loss.wait", "node" + std::to_string(ip_.runtime().node_id()));
-      }
+      obs::annotate(rctx, "drop.tcp_checksum");
+      obs::stage(rctx, "loss.wait", ip_.runtime().node_id());
       input_.end_get(m);
       return;
     }
@@ -777,12 +759,8 @@ void Tcp::deliver_payload(TcpConnection* c, core::Message payload, std::uint32_t
   }
   if (seq == c->rcv_nxt_) {
     c->rcv_nxt_ += payload.len;
-    if (auto* ct = obs::CausalTracer::active()) {
-      obs::TraceContext rctx = ct->lookup(ip_.runtime().node_id(), payload.data);
-      if (rctx.valid()) {
-        ct->stage(rctx, "mbox.wait", "node" + std::to_string(ip_.runtime().node_id()));
-      }
-    }
+    obs::stage(obs::trace_at(ip_.runtime().node_id(), payload.data), "mbox.wait",
+               ip_.runtime().node_id());
     // §4.2: "TCP simply deletes the headers and transfers the packet to the
     // user's receive mailbox using the Enqueue operation."
     input_.enqueue(payload, *c->receive_);
@@ -813,12 +791,8 @@ void Tcp::drain_out_of_order(TcpConnection* c) {
       m = core::Mailbox::adjust_prefix(m, overlap);
     }
     c->rcv_nxt_ += m.len;
-    if (auto* ct = obs::CausalTracer::active()) {
-      obs::TraceContext rctx = ct->lookup(ip_.runtime().node_id(), m.data);
-      if (rctx.valid()) {
-        ct->stage(rctx, "mbox.wait", "node" + std::to_string(ip_.runtime().node_id()));
-      }
-    }
+    obs::stage(obs::trace_at(ip_.runtime().node_id(), m.data), "mbox.wait",
+               ip_.runtime().node_id());
     input_.enqueue(m, *c->receive_);
   }
 }

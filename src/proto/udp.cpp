@@ -47,11 +47,7 @@ void Udp::send(std::uint16_t src_port, IpAddr dst, std::uint16_t dst_port, core:
   obs::CostScope scope("udp/output");
   cpu.charge(costs::kUdpOutput);
   ++sent_;
-  if (tctx.valid()) {
-    if (auto* ct = obs::CausalTracer::active()) {
-      ct->stage(tctx, "tx.udp", "node" + std::to_string(ip_.runtime().node_id()));
-    }
-  }
+  obs::stage(tctx, "tx.udp", ip_.runtime().node_id());
 
   UdpHeader uh;
   uh.src_port = src_port;
@@ -88,11 +84,8 @@ void Udp::server_loop() {
   int node = ip_.runtime().node_id();
   for (;;) {
     core::Message m = input_.begin_get();
-    obs::CausalTracer* ct = obs::CausalTracer::active();
-    obs::TraceContext rctx = ct != nullptr ? ct->lookup(node, m.data) : obs::TraceContext{};
-    if (ct != nullptr && rctx.valid()) {
-      ct->stage(rctx, "rx.udp", "node" + std::to_string(node));
-    }
+    obs::TraceContext rctx = obs::trace_at(node, m.data);
+    obs::stage(rctx, "rx.udp", node);
     obs::CostScope scope("udp/input");
     cpu.charge(costs::kUdpInput);
     if (m.len < kHeaderSpace) {
@@ -114,10 +107,8 @@ void Udp::server_loop() {
       c.update(mem.view(m.data + IpHeader::kSize, udp_len));
       if (c.value() != 0) {
         ++dropped_bad_checksum_;
-        if (ct != nullptr && rctx.valid()) {
-          ct->annotate(rctx, "drop.udp_checksum");
-          ct->stage(rctx, "loss.wait", "node" + std::to_string(node));
-        }
+        obs::annotate(rctx, "drop.udp_checksum");
+        obs::stage(rctx, "loss.wait", node);
         input_.end_get(m);
         continue;
       }
@@ -134,9 +125,7 @@ void Udp::server_loop() {
       continue;
     }
     ++delivered_;
-    if (ct != nullptr && rctx.valid()) {
-      ct->stage(rctx, "mbox.wait", "node" + std::to_string(node));
-    }
+    obs::stage(rctx, "mbox.wait", node);
     input_.enqueue(m, *it->second);
   }
 }

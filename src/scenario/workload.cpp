@@ -109,7 +109,7 @@ std::optional<core::Message> Workload::stage(int node, core::Mailbox& scratch, s
     if (auto* ct = obs::CausalTracer::active()) {
       const Flow& f = flow_defs_[flow];
       *tctx = ct->maybe_start(spec_.name, f.src, f.dst, st.sent);
-      if (tctx->valid()) ct->stage(*tctx, "tx.app", "node" + std::to_string(f.src));
+      obs::stage(*tctx, "tx.app", f.src);
     }
   }
   std::uint8_t hdr[Stamp::kBytes];
@@ -189,12 +189,9 @@ void Workload::credit(int node, const Stamp& s, std::uint32_t bytes, hw::CabAddr
   st.latency.observe(now - sent_ns);
   ++st.delivered;
   st.delivered_bytes += bytes;
-  if (auto* ct = obs::CausalTracer::active()) {
-    // The receive buffer was tagged at datalink rx; header stripping only
-    // moved the data pointer forward, so containment lookup still hits.
-    obs::TraceContext ctx = ct->lookup(node, data);
-    if (ctx.valid()) ct->finish(ctx);
-  }
+  // The receive buffer was tagged at datalink rx; header stripping only
+  // moved the data pointer forward, so containment lookup still hits.
+  obs::finish(obs::trace_at(node, data));
 }
 
 void Workload::install() {
@@ -404,9 +401,7 @@ void Workload::call_rpc(std::size_t flow, core::Message req, std::uint32_t size,
     scratch.end_get(rsp);
     // RPC latency is the client-side round trip; close the trace here
     // rather than at a receive-side observe_delivery.
-    if (tctx.valid()) {
-      if (auto* ct = obs::CausalTracer::active()) ct->finish(tctx);
-    }
+    obs::finish(tctx);
   } catch (const std::runtime_error&) {
     ++st.errors;
   }
