@@ -11,44 +11,42 @@
 namespace nectar::sim {
 
 SimTime Engine::next_event_time() {
-  while (live_ > 0) {
-    settle();
-    const QueueEntry& e = buckets_[0][head_];
-    if (live_slot(e.id) != nullptr) return e.time;
-    ++head_;  // stale entry for a cancelled/recycled slot
+  if (live_ == 0) return -1;
+  for (std::size_t i = head_; i < buckets_[0].size(); ++i) {
+    if (live_slot(buckets_[0][i].id) != nullptr) return buckets_[0][i].time;
+  }
+  // Buckets above 0 are ordered, so the first one holding a live entry
+  // holds the earliest.
+  for (std::uint64_t occ = occupied_ & ~std::uint64_t{1}; occ != 0; occ &= occ - 1) {
+    SimTime t = -1;
+    for (const QueueEntry& e : buckets_[std::countr_zero(occ)]) {
+      if (live_slot(e.id) != nullptr && (t < 0 || e.time < t)) t = e.time;
+    }
+    if (t >= 0) return t;
   }
   return -1;
 }
 
-void Engine::refill() {
+SimTime Engine::lowest_time() const {
+  const std::vector<QueueEntry>& lowest =
+      buckets_[std::countr_zero(occupied_ & ~std::uint64_t{1})];
+  SimTime t = lowest.front().time;
+  for (const QueueEntry& e : lowest) t = std::min(t, e.time);
+  return t;
+}
+
+void Engine::refill(SimTime base) {
   buckets_[0].clear();
   head_ = 0;
   occupied_ &= ~std::uint64_t{1};
   assert(occupied_ != 0);
   std::vector<QueueEntry>& lowest = buckets_[std::countr_zero(occupied_)];
   occupied_ &= occupied_ - 1;
-  SimTime base = lowest.front().time;
-  for (const QueueEntry& e : lowest) base = std::min(base, e.time);
   // Every entry of `lowest` agrees with the new base above the bit that put
   // it there, so each lands in a lower bucket, bucket 0 included.
   base_ = base;
   for (const QueueEntry& e : lowest) place(e);
   lowest.clear();
-}
-
-void Engine::rebase(SimTime base) {
-  ++rebuckets_;
-  rebase_scratch_.clear();
-  for (std::size_t k = 0; k < buckets_.size(); ++k) {
-    std::vector<QueueEntry>& b = buckets_[k];
-    rebase_scratch_.insert(rebase_scratch_.end(), b.begin() + (k == 0 ? head_ : 0), b.end());
-    b.clear();
-  }
-  head_ = 0;
-  occupied_ = 0;
-  base_ = base;
-  // Equal times came from one bucket in order, so they stay in order.
-  for (const QueueEntry& e : rebase_scratch_) place(e);
 }
 
 void Engine::send_cross(Engine& dst, SimTime t, Action fn, std::uint64_t key, std::uint64_t seq) {
@@ -94,7 +92,7 @@ Engine::EventId Engine::schedule_at(SimTime t, Action fn) {
   s.armed = true;
   s.action = std::move(fn);
   EventId id = make_id(index, s.gen);
-  if (t < base_) rebase(t);
+  assert(t >= base_);  // the base never passes now()
   place(QueueEntry{t, id});
   ++live_;
   return id;
@@ -138,7 +136,12 @@ void Engine::run() {
 
 bool Engine::run_until(SimTime t) {
   while (live_ > 0) {
-    settle();
+    if (head_ == buckets_[0].size()) {
+      // Refill only for an entry due by t: the refill moves the base to it.
+      SimTime next = lowest_time();
+      if (next > t) break;
+      refill(next);
+    }
     QueueEntry e = buckets_[0][head_];
     Slot* s = live_slot(e.id);
     if (s != nullptr && e.time > t) break;
@@ -169,8 +172,6 @@ void Engine::register_metrics(obs::Registration& reg, int node) const {
             [this] { return static_cast<std::int64_t>(pool_reuses()); });
   reg.probe(node, "sim.engine", "heap_actions",
             [this] { return static_cast<std::int64_t>(heap_actions()); });
-  reg.probe(node, "sim.engine", "rebuckets",
-            [this] { return static_cast<std::int64_t>(rebuckets()); });
 }
 
 }  // namespace nectar::sim

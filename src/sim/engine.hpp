@@ -38,9 +38,10 @@ class ParallelEngine;
 /// bucket 0 runs dry, the lowest non-empty bucket's earliest time becomes the
 /// base and that bucket is redistributed, in order, into lower buckets. Equal
 /// times always share a bucket and every move keeps their order, so ties fire
-/// in schedule order without a sequence number. A schedule below the base
-/// (possible after a peek moved the base past now()) re-buckets every entry
-/// against the new base; rebuckets() counts those O(n) passes.
+/// in schedule order without a sequence number. Only a pop refills bucket 0,
+/// and run_until refills only for an entry due by its horizon, so the base
+/// never passes now() and every schedule lands at or above it; peeks
+/// (next_event_time()) read the buckets without changing them.
 class Engine {
  public:
   using EventId = std::uint64_t;
@@ -92,8 +93,6 @@ class Engine {
   std::uint64_t pool_reuses() const { return pool_reuses_; }
   /// Scheduled actions whose captures spilled to the heap (SBO miss).
   std::uint64_t heap_actions() const { return heap_actions_; }
-  /// Schedules below the queue's base, each of which re-bucketed every entry.
-  std::uint64_t rebuckets() const { return rebuckets_; }
 
   /// Report queue/pool statistics as probes under (node, "sim.engine").
   /// The engine is network-wide, so callers conventionally pass node -1.
@@ -109,8 +108,8 @@ class Engine {
   }
   int shard_id() const { return shard_id_; }
 
-  /// Earliest live event time, or -1 if the queue is empty. Prunes
-  /// cancelled entries from the queue front while peeking.
+  /// Earliest live event time, or -1 if the queue is empty. Scans the
+  /// queue without changing it.
   SimTime next_event_time();
 
   /// Schedule `fn` at time `t` on `dst`, which may live on another shard.
@@ -157,13 +156,14 @@ class Engine {
   /// Make the earliest entry (possibly cancelled) bucket 0's front, at
   /// buckets_[0][head_]. Only called while a live event is queued.
   void settle() {
-    if (head_ == buckets_[0].size()) refill();
+    if (head_ == buckets_[0].size()) refill(lowest_time());
   }
-  /// Bucket 0 is spent: the lowest non-empty bucket's earliest time becomes
-  /// the base, and that bucket is redistributed into lower ones.
-  void refill();
-  /// Re-bucket every entry against `base`, which is below base_.
-  void rebase(SimTime base);
+  /// Earliest time (possibly cancelled) in the lowest non-empty bucket above
+  /// 0. Only called while bucket 0 is spent and a live event is queued.
+  SimTime lowest_time() const;
+  /// Bucket 0 is spent: `base`, the lowest non-empty bucket's earliest time,
+  /// becomes the base, and that bucket is redistributed into lower ones.
+  void refill(SimTime base);
 
   SimTime now_ = 0;
   std::uint64_t processed_ = 0;
@@ -174,13 +174,11 @@ class Engine {
   std::size_t head_ = 0;        // bucket 0's entries before head_ have popped
   std::uint64_t occupied_ = 0;  // bit k set iff bucket k may hold entries
   SimTime base_ = 0;            // every queued entry's time is >= base_
-  std::vector<QueueEntry> rebase_scratch_;
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_;
 
   std::uint64_t pool_reuses_ = 0;
   std::uint64_t heap_actions_ = 0;
-  std::uint64_t rebuckets_ = 0;
 
   ParallelEngine* coordinator_ = nullptr;
   int shard_id_ = 0;

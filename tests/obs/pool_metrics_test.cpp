@@ -67,7 +67,7 @@ TEST(PoolMetrics, SubstrateProbesAreRegistered) {
   obs::Snapshot snap = sys.metrics().snapshot();
   for (const char* name :
        {"events_processed", "pending_events", "pool_slots", "pool_free", "pool_reuses",
-        "heap_actions", "rebuckets"}) {
+        "heap_actions"}) {
     EXPECT_NE(snap.find(-1, "sim.engine", name), nullptr) << name;
   }
   for (const char* component : {"hw.framepool", "proto.hdrpool"}) {
