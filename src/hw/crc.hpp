@@ -5,8 +5,12 @@
 
 namespace nectar::hw {
 
-/// CRC-32 (IEEE 802.3 polynomial), slice-by-8: eight bytes per step through
-/// eight constexpr tables, then the tail a byte at a time.
+/// CRC-32 (IEEE 802.3 polynomial), by one of two kernels chosen once for the
+/// CPU (hw/crc_kernels.hpp). On x86-64 with PCLMULQDQ, spans of 64 bytes or
+/// more fold 16 bytes at a time by carry-less multiplication. Short spans,
+/// tails under 16 bytes and every other CPU take slice-by-8: eight bytes per
+/// step through eight constexpr tables. Both give every span the same CRC,
+/// so the choice is invisible to the simulation.
 ///
 /// The CAB computes cyclic redundancy checksums for incoming and outgoing
 /// data in hardware (paper §2.2), so the runtime charges *zero CPU time* for

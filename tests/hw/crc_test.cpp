@@ -6,10 +6,23 @@
 #include <string>
 #include <vector>
 
+#include "hw/crc_kernels.hpp"
+
 namespace nectar::hw {
 namespace {
 
 std::vector<std::uint8_t> bytes(const std::string& s) { return {s.begin(), s.end()}; }
+
+/// `n` pseudo-random bytes (a fixed LCG, so every run sees the same ones).
+std::vector<std::uint8_t> noise(std::size_t n) {
+  std::vector<std::uint8_t> buf(n);
+  std::uint32_t x = 1;
+  for (auto& b : buf) {
+    x = x * 1103515245u + 12345u;
+    b = static_cast<std::uint8_t>(x >> 24);
+  }
+  return buf;
+}
 
 /// The CRC a bit at a time, straight from the reflected polynomial.
 std::uint32_t reference_crc(std::span<const std::uint8_t> data) {
@@ -41,12 +54,16 @@ TEST(Crc32, StreamingMatchesOneShot) {
 }
 
 TEST(Crc32, DetectsSingleBitFlip) {
-  auto data = bytes("important packet payload");
-  std::uint32_t good = Crc32::compute(data);
-  for (std::size_t i = 0; i < data.size(); ++i) {
-    data[i] ^= 0x01;
-    EXPECT_NE(Crc32::compute(data), good) << "flip at byte " << i;
-    data[i] ^= 0x01;
+  // A short payload, and a full Ethernet-sized frame that the folding
+  // kernel takes, with the flip walking through every bit position.
+  for (auto data : {bytes("important packet payload"), noise(1500)}) {
+    const std::uint32_t good = Crc32::compute(data);
+    for (std::size_t i = 0; i < data.size(); ++i) {
+      const auto bit = static_cast<std::uint8_t>(1u << (i % 8));
+      data[i] ^= bit;
+      EXPECT_NE(Crc32::compute(data), good) << data.size() << " bytes, flip at byte " << i;
+      data[i] ^= bit;
+    }
   }
 }
 
@@ -65,15 +82,34 @@ TEST(Crc32, ResetClearsState) {
   EXPECT_EQ(c.value(), Crc32::compute(data));
 }
 
+/// Runs `kernel` from kInit over every length 0-320 at offsets 0-15 and over
+/// 16 KiB at each of those offsets, then over a 320-byte buffer split at
+/// every point, so that both halves of most splits cross the 64-byte fold
+/// threshold; each must match the bitwise reference.
+void expect_kernel_matches_reference(crc_kernels::Kernel kernel, const char* name) {
+  const std::vector<std::uint8_t> buf = noise(16384 + 16);
+  const std::span<const std::uint8_t> all(buf);
+  const auto crc = [&](std::span<const std::uint8_t> d) { return ~kernel(Crc32::kInit, d); };
+  for (std::size_t off = 0; off < 16; ++off) {
+    for (std::size_t len = 0; len <= 320; ++len) {
+      EXPECT_EQ(crc(all.subspan(off, len)), reference_crc(all.subspan(off, len)))
+          << name << " kernel, offset " << off << ", length " << len;
+    }
+    EXPECT_EQ(crc(all.subspan(off, 16384)), reference_crc(all.subspan(off, 16384)))
+        << name << " kernel, offset " << off << ", length 16384";
+  }
+  const auto first320 = all.subspan(0, 320);
+  for (std::size_t split = 0; split <= 320; ++split) {
+    const std::uint32_t state = kernel(Crc32::kInit, first320.subspan(0, split));
+    EXPECT_EQ(~kernel(state, first320.subspan(split)), reference_crc(first320))
+        << name << " kernel, split at " << split;
+  }
+}
+
 TEST(Crc32, MatchesBytewiseReference) {
   // Every length around the eight-byte steps, plus a jumbo frame, at every
   // alignment of the buffer.
-  std::vector<std::uint8_t> buf(9000 + 8);
-  std::uint32_t x = 1;
-  for (auto& b : buf) {
-    x = x * 1103515245u + 12345u;
-    b = static_cast<std::uint8_t>(x >> 24);
-  }
+  const std::vector<std::uint8_t> buf = noise(9000 + 8);
   const std::span<const std::uint8_t> all(buf);
   for (std::size_t off = 0; off < 8; ++off) {
     for (std::size_t len = 0; len <= 64; ++len) {
@@ -92,6 +128,13 @@ TEST(Crc32, MatchesBytewiseReference) {
     c.update(first64.subspan(split));
     EXPECT_EQ(c.value(), reference_crc(first64)) << "split at " << split;
   }
+
+  // Then each kernel directly: where Crc32 folds, it never runs the table
+  // kernel on 64 bytes or more.
+  expect_kernel_matches_reference(&crc_kernels::update_table, "table");
+  const crc_kernels::Kernel folding = crc_kernels::folding_kernel();
+  if (folding == nullptr) GTEST_SKIP() << "no PCLMULQDQ on this CPU: the folding kernel is unused";
+  expect_kernel_matches_reference(folding, "folding");
 }
 
 }  // namespace
