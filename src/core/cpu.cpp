@@ -96,14 +96,24 @@ void Cpu::begin_busy(sim::SimTime ns) {
   engine_.schedule_at(busy_until_, [this] { dispatch(); });
 }
 
+/// Begin the next slice of a charge, at most kChargeSlice of what is left.
+void Cpu::begin_slice(sim::SimTime& charge_left) {
+  const sim::SimTime slice = std::min(charge_left, sim::costs::kChargeSlice);
+  charge_left -= slice;
+  begin_busy(slice);
+}
+
 void Cpu::charge(sim::SimTime ns) {
-  assert(sim::Fiber::current() != nullptr && "charge() outside any execution context");
-  while (ns > 0) {
-    sim::SimTime slice = std::min(ns, sim::costs::kChargeSlice);
-    begin_busy(slice);
-    sim::Fiber::suspend();
-    ns -= slice;
-  }
+  const sim::Fiber* self = sim::Fiber::current();
+  const bool in_irq = self == irq_fiber_.get();
+  assert((in_irq || (current_ != nullptr && self == &current_->fiber_)) &&
+         "charge() outside this Cpu's thread or interrupt context");
+  if (ns <= 0) return;
+  sim::SimTime& left = in_irq ? irq_charge_left_ : current_->charge_left_;
+  left = ns;
+  begin_slice(left);
+  // dispatch() begins the later slices and resumes us after the last one.
+  sim::Fiber::suspend();
 }
 
 void Cpu::charge_until(sim::SimTime t) {
@@ -263,8 +273,27 @@ void Cpu::resume_fiber(sim::Fiber& f) {
   g_current_cpu = nullptr;
 }
 
+/// Run `f`'s context on. In the middle of a charge that means its next
+/// slice, begun here on the fiber's behalf at the boundary where the fiber
+/// would have begun it, so event order is as if it had; the fiber resumes
+/// only once its whole charge has elapsed.
+void Cpu::continue_context(sim::Fiber& f, sim::SimTime& charge_left) {
+  if (charge_left == 0) {
+    resume_fiber(f);
+    return;
+  }
+  // begin_busy records under the running context's cost-scope stack:
+  // announce the fiber, as resuming it would.
+  if (profiling()) obs::Profiler::set_context(&f);
+  begin_slice(charge_left);
+  if (profiling()) obs::Profiler::set_context(nullptr);
+}
+
+// Runs at every busy interval's end and on every kick. The context it picks
+// gets its next slice instead of its fiber while in the middle of a charge
+// (continue_context), so interrupts and preemption land on slice boundaries.
 void Cpu::dispatch() {
-  if (engine_.now() < busy_until_) return;  // mid-charge; its completion event redispatches
+  if (engine_.now() < busy_until_) return;  // mid-slice; its completion event redispatches
   for (;;) {
     if (switch_target_ != nullptr) {
       // The context-switch charge has elapsed: hand the CPU over.
@@ -280,10 +309,10 @@ void Cpu::dispatch() {
       }
       t->ready_at_ = -1;
       trace_thread_in(t);
-      resume_fiber(t->fiber_);
+      continue_context(t->fiber_, t->charge_left_);
     } else if (irq_active_ || (!irq_queue_.empty() && irq_disable_depth_ == 0)) {
       irq_active_ = true;
-      resume_fiber(*irq_fiber_);
+      continue_context(*irq_fiber_, irq_charge_left_);
     } else {
       Thread* best = run_queue_.peek_best();
       if (current_ != nullptr && current_->state_ == Thread::State::Running) {
@@ -301,7 +330,7 @@ void Cpu::dispatch() {
           switch_target_ = run_queue_.pop_best();
           begin_busy(switch_cost_);
         } else {
-          resume_fiber(current_->fiber_);
+          continue_context(current_->fiber_, current_->charge_left_);
         }
       } else if (best != nullptr) {
         ++context_switches_;
@@ -311,7 +340,7 @@ void Cpu::dispatch() {
         return;  // idle: wait for a wakeup or interrupt
       }
     }
-    if (engine_.now() < busy_until_) return;  // the running context started a charge
+    if (engine_.now() < busy_until_) return;  // a charge, a slice or a switch began
   }
 }
 

@@ -26,9 +26,10 @@ namespace nectar::core {
 /// with the paper's runtime semantics:
 ///
 ///  - CPU work is modeled by `charge(ns)`: the running context occupies the
-///    CPU for that long. Interrupts and preemption are delivered at charge
-///    boundaries (charges are small, matching the paper's interrupt-latency
-///    requirement of "a few tens of microseconds", §3.1).
+///    CPU for that long. Interrupts and preemption are delivered at slice
+///    boundaries (a charge is cut into kChargeSlice slices, matching the
+///    paper's interrupt-latency requirement of "a few tens of microseconds",
+///    §3.1).
 ///  - Interrupt handlers run in a dedicated interrupt context with priority
 ///    over all threads; they may charge time but must not block. Further
 ///    interrupts queue until the current handler finishes (the paper did not
@@ -79,7 +80,11 @@ class Cpu {
 
   // --- called from the running context (thread or interrupt) ---------------
 
-  /// Consume `ns` of CPU time.
+  /// Consume `ns` of CPU time. Only this Cpu's running thread or its
+  /// interrupt context may charge it. The charge is cut into kChargeSlice
+  /// slices, and each boundary lets interrupts and preemption in; the
+  /// dispatcher begins each later slice itself, so the fiber suspends once
+  /// and resumes when the whole charge has elapsed.
   void charge(sim::SimTime ns);
 
   /// Stall until absolute simulated time `t` (e.g. the hardware FIFO
@@ -161,7 +166,9 @@ class Cpu {
   void dispatch();
   void irq_loop();
   void resume_fiber(sim::Fiber& f);
+  void continue_context(sim::Fiber& f, sim::SimTime& charge_left);
   void begin_busy(sim::SimTime ns);
+  void begin_slice(sim::SimTime& charge_left);
   bool profiling() const;
   const std::string& busy_context() const;
   void thread_trampoline(Thread* t, const std::function<void()>& body);
@@ -180,6 +187,7 @@ class Cpu {
 
   std::unique_ptr<sim::Fiber> irq_fiber_;
   bool irq_active_ = false;         // interrupt context is live (running or mid-charge)
+  sim::SimTime irq_charge_left_ = 0;  // the interrupt context's Thread::charge_left_
   std::deque<IrqHandler> irq_queue_;
   int irq_disable_depth_ = 0;
 

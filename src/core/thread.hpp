@@ -44,6 +44,7 @@ class Thread {
   sim::Fiber fiber_;
   std::uint64_t sleep_gen_ = 0;       // invalidates stale sleep timers
   sim::SimTime ready_at_ = -1;        // run-queue entry time (profiler; -1 = unstamped)
+  sim::SimTime charge_left_ = 0;      // ns of its charge whose slices have not begun
   std::vector<Thread*> joiners_;      // threads blocked in join() on us
 };
 

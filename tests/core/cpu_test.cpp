@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "core/priorities.hpp"
+#include "obs/profiler.hpp"
 #include "sim/costs.hpp"
 
 namespace nectar::core {
@@ -253,6 +254,86 @@ TEST(Cpu, InterruptPreemptsThreadCharges) {
   // Thanks to charge slicing, the interrupt runs within one slice of its
   // posting, not 2 ms later.
   EXPECT_LE(irq_at, sim::usec(100) + costs::kChargeSlice + costs::kInterruptEntry);
+}
+
+TEST(Cpu, SliceBoundariesAndEventCountsAreExact) {
+  // A charge is cut into kChargeSlice pieces, and interrupts and preemption
+  // land only on their boundaries. These times and event counts pin where
+  // each slice begins, not just that it falls within bounds.
+  {
+    // A thread's 2 ms charge, split by an interrupt posted at 100 us: the
+    // slice boundary at 120 us takes it.
+    sim::Engine e;
+    Cpu cpu(e, "cpu");
+    sim::SimTime body_at = -1, charge_done = -1;
+    cpu.fork("t", kAppPriority, [&] {
+      cpu.charge(sim::msec(2));
+      charge_done = e.now();
+    });
+    e.schedule_at(sim::usec(100), [&] { cpu.post_interrupt([&] { body_at = e.now(); }); });
+    e.run();
+    EXPECT_EQ(body_at, 122'500);
+    EXPECT_EQ(charge_done, 2'023'500);
+    EXPECT_EQ(e.events_processed(), 86u);
+  }
+  {
+    // A timer wakes a blocked high-priority thread during a low-priority
+    // thread's charge: the next boundary preempts it.
+    sim::Engine e;
+    Cpu cpu(e, "cpu");
+    sim::SimTime hi_at = -1, hi_done = -1, lo_done = -1;
+    Thread* hi = cpu.fork("hi", kSystemPriority, [&] {
+      cpu.block();
+      hi_at = e.now();
+      cpu.charge(sim::usec(60));
+      hi_done = e.now();
+    });
+    cpu.fork("lo", kAppPriority, [&] {
+      cpu.set_timer(e.now() + sim::usec(30), [&, hi] { cpu.wake(hi); });
+      cpu.charge(sim::usec(200));
+      lo_done = e.now();
+    });
+    e.run();
+    EXPECT_EQ(hi_at, 113'500);
+    EXPECT_EQ(hi_done, 173'500);
+    EXPECT_EQ(lo_done, 343'500);
+    EXPECT_EQ(e.events_processed(), 21u);
+  }
+  {
+    // An interrupt handler's own charge is never split by a later
+    // interrupt: handlers do not nest.
+    sim::Engine e;
+    Cpu cpu(e, "cpu");
+    sim::SimTime first_done = -1, second_at = -1;
+    cpu.post_interrupt([&] {
+      cpu.charge(sim::usec(100));
+      first_done = e.now();
+    });
+    e.schedule_at(sim::usec(30), [&] { cpu.post_interrupt([&] { second_at = e.now(); }); });
+    e.run();
+    EXPECT_EQ(first_done, 102'500);
+    EXPECT_EQ(second_at, 106'000);
+    EXPECT_EQ(e.events_processed(), 11u);
+  }
+  {
+    // Every slice of a split charge stays under the cost scope open around
+    // it, and the folded total still equals the busy time.
+    sim::Engine e;
+    Cpu cpu(e, "cpu");
+    obs::Profiler prof;
+    prof.set_enabled(true);
+    cpu.attach_profiler(&prof);
+    cpu.fork("t", kAppPriority, [&] {
+      obs::CostScope scope("dom");
+      cpu.charge(sim::usec(130));
+    });
+    e.schedule_at(sim::usec(50), [&] { cpu.post_interrupt([&] { cpu.charge(sim::usec(3)); }); });
+    e.run();
+    const std::string folded = prof.folded();
+    EXPECT_NE(folded.find("cpu;t;dom 130000\n"), std::string::npos) << folded;
+    EXPECT_EQ(cpu.busy_time(), 156'500);
+    EXPECT_EQ(prof.attributed_ns(), cpu.busy_time()) << folded;
+  }
 }
 
 TEST(Cpu, BlockOutsideThreadThrows) {
