@@ -1,6 +1,7 @@
 #include "proto/ip.hpp"
 
 #include <algorithm>
+#include <array>
 #include <memory>
 #include <stdexcept>
 
@@ -262,7 +263,7 @@ void Ip::finish_reassembly(const ReassemblyKey& key, Reassembly& r, const IpHead
   h.more_fragments = false;
   h.frag_offset = 0;
   h.total_len = static_cast<std::uint16_t>(IpHeader::kSize + total);
-  std::vector<std::uint8_t> hdr_bytes(IpHeader::kSize);
+  std::array<std::uint8_t, IpHeader::kSize> hdr_bytes{};
   h.serialize(hdr_bytes);
   mem.write(combined->data, hdr_bytes);
 
@@ -273,9 +274,10 @@ void Ip::finish_reassembly(const ReassemblyKey& key, Reassembly& r, const IpHead
   for (Fragment& f : r.fragments) {
     obs::CostScope copy("ip/copy");
     cpu.charge(static_cast<sim::SimTime>(f.len) * costs::kCabCopyPerByte);
-    auto src = mem.view(f.msg.data + IpHeader::kSize, f.len);
-    std::vector<std::uint8_t> tmp(src.begin(), src.end());
-    mem.write(combined->data + IpHeader::kSize + f.offset, tmp);
+    // Straight from the fragment's buffer: it and the reassembled one are
+    // distinct live allocations, so the copy cannot overlap.
+    mem.write(combined->data + IpHeader::kSize + f.offset,
+              mem.view(f.msg.data + IpHeader::kSize, f.len));
     release(std::move(f.msg));
   }
   ++reassembled_;
