@@ -22,7 +22,17 @@ const std::string kCtxEngine = "engine";
 Cpu* Cpu::current() { return g_current_cpu; }
 
 Cpu::Cpu(sim::Engine& engine, std::string name, sim::SimTime context_switch_cost)
-    : engine_(engine), name_(std::move(name)), switch_cost_(context_switch_cost) {
+    : engine_(engine),
+      name_(std::move(name)),
+      switch_cost_(context_switch_cost),
+      slice_end_(engine, [](void* cpu) { static_cast<Cpu*>(cpu)->dispatch(); }, this),
+      kick_(engine,
+            [](void* self) {
+              Cpu* cpu = static_cast<Cpu*>(self);
+              cpu->dispatch_scheduled_ = false;
+              cpu->dispatch();
+            },
+            this) {
   irq_fiber_ = std::make_unique<sim::Fiber>([this] { irq_loop(); }, name_ + ".irq");
 }
 
@@ -93,7 +103,7 @@ void Cpu::begin_busy(sim::SimTime ns) {
   busy_until_ = engine_.now() + ns;
   busy_time_ += ns;
   if (profiling()) profiler_->record(name_, busy_context(), ns);
-  engine_.schedule_at(busy_until_, [this] { dispatch(); });
+  engine_.schedule_at(busy_until_, slice_end_);
 }
 
 /// Begin the next slice of a charge, at most kChargeSlice of what is left.
@@ -253,13 +263,13 @@ void Cpu::cancel_timer(TimerId id) {
 
 // --- dispatcher ------------------------------------------------------------------
 
+// Mid-slice, the slice's own completion event dispatches, and nothing can
+// begin a charge on this CPU before it fires, so a dispatch scheduled now
+// would return at its first line.
 void Cpu::kick() {
-  if (dispatch_scheduled_) return;
+  if (dispatch_scheduled_ || engine_.now() < busy_until_) return;
   dispatch_scheduled_ = true;
-  engine_.schedule_in(0, [this] {
-    dispatch_scheduled_ = false;
-    dispatch();
-  });
+  engine_.schedule_at(engine_.now(), kick_);
 }
 
 void Cpu::resume_fiber(sim::Fiber& f) {

@@ -193,6 +193,10 @@ class Cpu {
 
   sim::SimTime busy_until_ = 0;
   bool dispatch_scheduled_ = false;
+  // The two events every charge and wakeup schedule, slot-free: the end of
+  // a busy interval (begin_busy) and a kick's dispatch.
+  sim::Engine::Target slice_end_;
+  sim::Engine::Target kick_;
 
   struct Timer {
     sim::Engine::EventId event = 0;

@@ -93,15 +93,19 @@ void Network::register_audit(obs::Auditor& auditor) {
                              {"fifo_queued", board->in_fifo().frames_queued()}});
     });
   }
-  // Per-shard simulator health: event-pool lease balance and a monotone
+  // Per-shard simulator health: event-pool lease balance (every slot is free
+  // or holds a pending event; pending targets hold none) and a monotone
   // clock across ticks (stateful check — each lambda owns its watermark).
   for (int s = 0; s < shard_count(); ++s) {
     const sim::Engine* e = &par_->shard(s);
     const std::string shard = "shard" + std::to_string(s);
     auditor.add("engine.event_pool_balance", shard, [e] {
-      if (e->pool_slots() == e->pool_free() + e->pending_events()) return std::string();
-      return balance_detail(
-          {{"slots", e->pool_slots()}, {"free", e->pool_free()}, {"pending", e->pending_events()}});
+      if (e->pool_slots() + e->pending_targets() == e->pool_free() + e->pending_events())
+        return std::string();
+      return balance_detail({{"slots", e->pool_slots()},
+                             {"free", e->pool_free()},
+                             {"pending", e->pending_events()},
+                             {"targets", e->pending_targets()}});
     });
     auditor.add("engine.clock_monotonic", shard,
                 [e, last = std::make_shared<sim::SimTime>(0)]() mutable {

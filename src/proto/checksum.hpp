@@ -7,6 +7,15 @@ namespace nectar::proto {
 
 /// Internet checksum (RFC 1071): 16-bit one's-complement sum.
 ///
+/// `update` pairs a dangling odd byte from the previous span first, then sums
+/// the even-length body as native-endian 32-bit words, 16 bytes at a time,
+/// into a 64-bit accumulator, folds that to 16 bits and byte-swaps it on a
+/// little-endian host. Modulo 0xFFFF a 32-bit word equals the sum of its
+/// 16-bit halves, and the sum of byte-swapped words is the byte-swapped sum
+/// (RFC 1071 §2(B)); the folds keep a sum zero only when every word is zero.
+/// So the value is the one the two-bytes-at-a-time big-endian sum gives, for
+/// any split of the data into spans (a span may be up to 16 GiB).
+///
 /// The *computation* is free C++; the *cost model* is separate — protocol
 /// code charges `checksum_cost(bytes)` to the CPU when it checksums in
 /// software (the paper's Fig. 7 shows this is what separates TCP/IP from the
@@ -26,7 +35,7 @@ class InternetChecksum {
   static bool verify(std::span<const std::uint8_t> data);
 
  private:
-  std::uint32_t sum_ = 0;
+  std::uint32_t sum_ = 0;  // folded to 16 bits after every update
   bool odd_ = false;  // a dangling odd byte from the previous update
 };
 

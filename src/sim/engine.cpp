@@ -10,17 +10,23 @@
 
 namespace nectar::sim {
 
+Engine::Target::Target(Engine& engine, void (*fire)(void*), void* self)
+    : fire_(fire), self_(self), id_(engine.targets_.size() + 1) {
+  if (!is_target(id_)) throw std::length_error("Engine::Target: too many targets");
+  engine.targets_.push_back(this);
+}
+
 SimTime Engine::next_event_time() {
   if (live_ == 0) return -1;
   for (std::size_t i = head_; i < buckets_[0].size(); ++i) {
-    if (live_slot(buckets_[0][i].id) != nullptr) return buckets_[0][i].time;
+    if (live(buckets_[0][i].id)) return buckets_[0][i].time;
   }
   // Buckets above 0 are ordered, so the first one holding a live entry
   // holds the earliest.
   for (std::uint64_t occ = occupied_ & ~std::uint64_t{1}; occ != 0; occ &= occ - 1) {
     SimTime t = -1;
     for (const QueueEntry& e : buckets_[std::countr_zero(occ)]) {
-      if (live_slot(e.id) != nullptr && (t < 0 || e.time < t)) t = e.time;
+      if (live(e.id) && (t < 0 || e.time < t)) t = e.time;
     }
     if (t >= 0) return t;
   }
@@ -98,6 +104,17 @@ Engine::EventId Engine::schedule_at(SimTime t, Action fn) {
   return id;
 }
 
+Engine::EventId Engine::schedule_at(SimTime t, const Target& target) {
+  if (t < now_) throw std::logic_error("Engine::schedule_at: time in the past");
+  assert(target.id_ <= targets_.size() && targets_[target.id_ - 1] == &target &&
+         "target enrolled with another engine");
+  assert(t >= base_);  // the base never passes now()
+  place(QueueEntry{t, target.id_});
+  ++live_;
+  ++pending_targets_;
+  return target.id_;
+}
+
 bool Engine::cancel(EventId id) {
   Slot* s = live_slot(id);
   if (s == nullptr) return false;
@@ -106,25 +123,34 @@ bool Engine::cancel(EventId id) {
   return true;
 }
 
-void Engine::fire(Slot& s, SimTime t) {
+bool Engine::fire(QueueEntry e) {
+  if (is_target(e.id)) {
+    const Target& target = *targets_[e.id - 1];
+    --live_;
+    --pending_targets_;
+    assert(e.time >= now_);
+    now_ = e.time;
+    ++processed_;
+    target.fire_(target.self_);
+    return true;
+  }
+  Slot* s = live_slot(e.id);
+  if (s == nullptr) return false;
   // Move the action out before running it: the callback may schedule new
   // events, which can recycle this slot or grow the slab.
-  Action fn = std::move(s.action);
-  release_slot(static_cast<std::size_t>(&s - slots_.data()));
-  assert(t >= now_);
-  now_ = t;
+  Action fn = std::move(s->action);
+  release_slot(static_cast<std::size_t>(s - slots_.data()));
+  assert(e.time >= now_);  // a cancelled entry may lie below now()
+  now_ = e.time;
   ++processed_;
   fn();
+  return true;
 }
 
 bool Engine::step() {
   while (live_ > 0) {
     settle();
-    QueueEntry e = buckets_[0][head_++];
-    if (Slot* s = live_slot(e.id)) {
-      fire(*s, e.time);
-      return true;
-    }
+    if (fire(buckets_[0][head_++])) return true;
   }
   return false;
 }
@@ -142,11 +168,9 @@ bool Engine::run_until(SimTime t) {
       if (next > t) break;
       refill(next);
     }
-    QueueEntry e = buckets_[0][head_];
-    Slot* s = live_slot(e.id);
-    if (s != nullptr && e.time > t) break;
-    ++head_;  // fire it, or skip a cancelled entry without advancing time
-    if (s != nullptr) fire(*s, e.time);
+    // Bucket 0's entries share one time, and every later bucket's are later.
+    if (buckets_[0][head_].time > t) break;
+    fire(buckets_[0][head_++]);  // or skip a cancelled entry
   }
   now_ = std::max(now_, t);
   return live_ > 0;

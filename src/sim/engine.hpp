@@ -26,11 +26,14 @@ class ParallelEngine;
 /// its shard's worker thread and talks to other shards only through
 /// send_cross().
 ///
-/// Events live in a slab of pooled slots (free-list recycled) holding their
-/// callables inline; an EventId is a generation-checked handle into the slab,
-/// so cancel() is O(1) and stale handles (fired, cancelled, or recycled
+/// Most events live in a slab of pooled slots (free-list recycled) holding
+/// their callables inline; an EventId is a generation-checked handle into the
+/// slab, so cancel() is O(1) and stale handles (fired, cancelled, or recycled
 /// events) are rejected without any map lookup. Cancelled entries stay queued
-/// and are skipped when they surface.
+/// and are skipped when they surface. An event its owner fires again and
+/// again (a CPU's slice end and kick) can instead be a Target: the owner keeps
+/// the callback, and the queue entry's id names it, so scheduling one takes
+/// no slot and moves no callable. Targets cannot be cancelled.
 ///
 /// The queue is a monotone radix heap of (time, handle) entries. Bucket k > 0
 /// holds entries whose time first differs from the queue's base at bit k-1;
@@ -47,6 +50,23 @@ class Engine {
   using EventId = std::uint64_t;
   using Action = InplaceAction;
 
+  /// A long-lived, slot-free event: `fire(self)` runs each time it comes
+  /// due. The owner keeps it (for as long as it can be pending, and at one
+  /// address: the engine names it by its enrolment) and may have it pending
+  /// any number of times at once.
+  class Target {
+   public:
+    Target(Engine& engine, void (*fire)(void*), void* self);
+    Target(const Target&) = delete;
+    Target& operator=(const Target&) = delete;
+
+   private:
+    friend class Engine;
+    void (*fire_)(void*);
+    void* self_;
+    EventId id_;
+  };
+
   Engine() = default;
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
@@ -56,6 +76,12 @@ class Engine {
 
   /// Schedule `fn` at absolute time `t` (must be >= now()).
   EventId schedule_at(SimTime t, Action fn);
+
+  /// Schedule `target` (enrolled with this engine) at absolute time `t`
+  /// (must be >= now()). It fires in the same (time, schedule order) as any
+  /// other event and counts in pending_events() and events_processed(); the
+  /// returned id never names a slot, so cancel() rejects it.
+  EventId schedule_at(SimTime t, const Target& target);
 
   /// Schedule `fn` `delay` nanoseconds from now.
   EventId schedule_in(SimTime delay, Action fn) { return schedule_at(now_ + delay, std::move(fn)); }
@@ -82,6 +108,8 @@ class Engine {
   std::uint64_t events_processed() const { return processed_; }
   bool empty() const { return live_ == 0; }
   std::size_t pending_events() const { return live_; }
+  /// Pending events that are Targets (they hold no slot).
+  std::size_t pending_targets() const { return pending_targets_; }
 
   // --- event-pool statistics (observability probes) -------------------------
 
@@ -125,6 +153,9 @@ class Engine {
   std::uint64_t cross_posts() const { return cross_posts_; }
 
  private:
+  // Lets a test leak a slot, to show the pool-balance audit catches it.
+  friend struct EngineTestAccess;
+
   struct Slot {
     std::uint32_t gen = 0;
     bool armed = false;
@@ -136,16 +167,21 @@ class Engine {
     EventId id;
   };
 
-  // EventId layout: (slot index + 1) << 32 | generation. The +1 keeps 0 free
-  // as a "no event" sentinel for callers.
+  // EventId layout: a slot's is (slot index + 1) << 32 | generation, and a
+  // target's is its enrolment index + 1, below 2^32, so the two never meet.
+  // The +1s keep 0 free as a "no event" sentinel for callers.
   static EventId make_id(std::size_t slot, std::uint32_t gen) {
     return (static_cast<EventId>(slot + 1) << 32) | gen;
   }
-  /// The slot an id refers to iff the id is live; nullptr for stale handles.
+  static bool is_target(EventId id) { return id >> 32 == 0; }
+  /// The slot an id refers to iff the id is live; nullptr for stale handles
+  /// and target ids.
   Slot* live_slot(EventId id);
+  /// Queued entries are live unless they name a cancelled slot event.
+  bool live(EventId id) { return is_target(id) || live_slot(id) != nullptr; }
   void release_slot(std::size_t slot_index);
-  /// Release `s` and run its action at time `t`.
-  void fire(Slot& s, SimTime t);
+  /// Fire the popped entry `e` unless it is cancelled; false if it was.
+  bool fire(QueueEntry e);
 
   /// Append `e` to the bucket its time falls in relative to base_.
   void place(const QueueEntry& e) {
@@ -176,6 +212,8 @@ class Engine {
   SimTime base_ = 0;            // every queued entry's time is >= base_
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_;
+  std::vector<const Target*> targets_;  // by enrolment; a target's id is its index + 1
+  std::size_t pending_targets_ = 0;
 
   std::uint64_t pool_reuses_ = 0;
   std::uint64_t heap_actions_ = 0;

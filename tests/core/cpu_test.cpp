@@ -274,7 +274,7 @@ TEST(Cpu, SliceBoundariesAndEventCountsAreExact) {
     e.run();
     EXPECT_EQ(body_at, 122'500);
     EXPECT_EQ(charge_done, 2'023'500);
-    EXPECT_EQ(e.events_processed(), 86u);
+    EXPECT_EQ(e.events_processed(), 85u);
   }
   {
     // A timer wakes a blocked high-priority thread during a low-priority
@@ -297,7 +297,7 @@ TEST(Cpu, SliceBoundariesAndEventCountsAreExact) {
     EXPECT_EQ(hi_at, 113'500);
     EXPECT_EQ(hi_done, 173'500);
     EXPECT_EQ(lo_done, 343'500);
-    EXPECT_EQ(e.events_processed(), 21u);
+    EXPECT_EQ(e.events_processed(), 20u);
   }
   {
     // An interrupt handler's own charge is never split by a later
@@ -313,7 +313,7 @@ TEST(Cpu, SliceBoundariesAndEventCountsAreExact) {
     e.run();
     EXPECT_EQ(first_done, 102'500);
     EXPECT_EQ(second_at, 106'000);
-    EXPECT_EQ(e.events_processed(), 11u);
+    EXPECT_EQ(e.events_processed(), 10u);
   }
   {
     // Every slice of a split charge stays under the cost scope open around
@@ -334,6 +334,40 @@ TEST(Cpu, SliceBoundariesAndEventCountsAreExact) {
     EXPECT_EQ(cpu.busy_time(), 156'500);
     EXPECT_EQ(prof.attributed_ns(), cpu.busy_time()) << folded;
   }
+}
+
+TEST(Cpu, KickDuringASliceSchedulesNoEvent) {
+  // An interrupt post and a wakeup land in the middle of a slice. The
+  // slice's own end dispatches, so neither schedules a dispatch of its own,
+  // and the handler and the woken thread run at that boundary: the handler
+  // at 115 us + interrupt entry, then the preempting thread after the
+  // interrupt exit and a context switch.
+  sim::Engine e;
+  Cpu cpu(e, "cpu");
+  sim::SimTime irq_at = -1, woke_at = -1, lo_done = -1;
+  Thread* hi = cpu.fork("hi", kSystemPriority, [&] {
+    cpu.block();
+    woke_at = e.now();
+  });
+  cpu.fork("lo", kAppPriority, [&] {
+    cpu.charge(sim::msec(1));  // slices from 40 us: 40, 65, 90, 115, ...
+    lo_done = e.now();
+  });
+  std::size_t before = 0, after_post = 0, after_wake = 0;
+  e.schedule_at(sim::usec(100), [&] {
+    before = e.pending_events();
+    cpu.post_interrupt([&] { irq_at = e.now(); });
+    after_post = e.pending_events();
+    cpu.wake(hi);
+    after_wake = e.pending_events();
+  });
+  e.run();
+  EXPECT_EQ(before, 1u);  // the slice ending at 115 us
+  EXPECT_EQ(after_post, before);
+  EXPECT_EQ(after_wake, before);
+  EXPECT_EQ(irq_at, 117'500);
+  EXPECT_EQ(woke_at, 138'500);
+  EXPECT_EQ(lo_done, 1'083'500);
 }
 
 TEST(Cpu, BlockOutsideThreadThrows) {

@@ -3,9 +3,40 @@
 #include <gtest/gtest.h>
 
 #include "net/system.hpp"
+#include "obs/audit.hpp"
+
+namespace nectar::sim {
+struct EngineTestAccess {
+  /// Take a slot that is neither free nor holding a pending event.
+  static void leak_slot(Engine& e) { e.slots_.emplace_back(); }
+};
+}  // namespace nectar::sim
 
 namespace nectar::net {
 namespace {
+
+TEST(Topology, EventPoolAuditHoldsWithTargetsPendingAndCatchesALeak) {
+  Network net;
+  int hub = net.add_hub();
+  int a = net.add_cab(hub, 0);
+  net.add_cab(hub, 1);
+  net.install_routes();
+  obs::Auditor auditor;
+  net.register_audit(auditor);
+  core::Cpu& cpu = net.runtime(a).cpu();
+  cpu.fork("t", core::kAppPriority, [&] { cpu.charge(sim::msec(1)); });
+  sim::Engine& e = net.engine();
+  e.run_until(sim::usec(100));
+  ASSERT_GT(e.pending_targets(), 0u);  // the charge's slice end, slot-free
+  auditor.check(e.now());
+  EXPECT_TRUE(auditor.ok());
+
+  sim::EngineTestAccess::leak_slot(e);
+  auditor.check(e.now());
+  ASSERT_EQ(auditor.violations().size(), 1u);
+  EXPECT_EQ(auditor.violations().front().invariant, "engine.event_pool_balance");
+  EXPECT_EQ(auditor.violations().front().component, "shard0");
+}
 
 TEST(Topology, SingleHubRoutesAreOneHop) {
   Network net;

@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <iterator>
 #include <map>
+#include <memory>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -13,10 +14,11 @@
 
 // The engine's firing order, pinned against a reference model: a sorted map
 // keyed by (time, schedule counter). Every operation is applied to both, and
-// after it the fired sequence, now(), pending_events() and the operation's
-// return value must agree. The callbacks themselves schedule more events
+// after it the fired sequence, now(), pending_events(), next_event_time() and
+// the operation's return value must agree. The callbacks themselves schedule more events
 // (zero-delay ones included), so the model is advanced one firing at a time
-// from inside them.
+// from inside them. A quarter of the schedules are slot-free targets, each
+// often pending several times at once; cancelling one must fail.
 
 namespace nectar::sim {
 namespace {
@@ -29,7 +31,10 @@ struct Fired {
 
 class OrderHarness {
  public:
-  explicit OrderHarness(std::uint64_t seed) : rng_(seed) {}
+  explicit OrderHarness(std::uint64_t seed) : rng_(seed) {
+    for (int k = 0; k < kTargets; ++k)
+      targets_.push_back(std::make_unique<HarnessTarget>(*this, target_label(k)));
+  }
 
   Engine& engine() { return e_; }
   Random& rng() { return rng_; }
@@ -44,20 +49,33 @@ class OrderHarness {
     return 1 + static_cast<SimTime>(rng_.next_below(std::uint64_t{1} << bits));
   }
 
-  /// Schedule on both sides. `via_in` uses schedule_in instead of schedule_at.
-  int schedule(SimTime t, bool via_in = false) {
-    int label = next_label_++;
-    Engine::EventId id = via_in ? e_.schedule_in(t - e_.now(), [this, label] { fire(label); })
-                                : e_.schedule_at(t, [this, label] { fire(label); });
+  /// Schedule on both sides: a random target a quarter of the time, else a
+  /// slot event through schedule_at or schedule_in.
+  void schedule(SimTime t) {
     Key key{t, counter_++};
+    if (rng_.chance(0.25)) {
+      HarnessTarget& target = *targets_[rng_.next_below(kTargets)];
+      target.id = e_.schedule_at(t, target.target);
+      handles_.push_back(target.id);
+      pending_.emplace(key, target.label);
+      return;
+    }
+    int label = next_label_++;
+    Engine::EventId id = rng_.chance(0.5)
+                             ? e_.schedule_in(t - e_.now(), [this, label] { fire(label); })
+                             : e_.schedule_at(t, [this, label] { fire(label); });
     pending_.emplace(key, label);
     live_.emplace(label, Live{id, key});
     handles_.push_back(id);
-    return label;
   }
 
   /// Cancel `label`'s handle; the engine must agree on whether it was live.
+  /// A target's cancel fails and leaves it pending.
   void cancel_label(int label) {
+    if (label < 0) {
+      EXPECT_FALSE(e_.cancel(targets_[target_index(label)]->id)) << "a target cancelled";
+      return;
+    }
     auto it = live_.find(label);
     ASSERT_NE(it, live_.end());
     EXPECT_TRUE(e_.cancel(it->second.id));
@@ -65,8 +83,8 @@ class OrderHarness {
     live_.erase(it);
   }
 
-  /// Cancel a random handle ever issued: live ones succeed, fired or
-  /// cancelled ones must be rejected.
+  /// Cancel a random handle ever issued: live slot events' succeed; fired or
+  /// cancelled ones, and targets', must be rejected.
   void cancel_any_handle() {
     if (handles_.empty()) return;
     Engine::EventId id = handles_[rng_.next_below(handles_.size())];
@@ -131,6 +149,10 @@ class OrderHarness {
       return ::testing::AssertionFailure() << "pending_events() " << e_.pending_events()
                                            << ", model " << pending_.size();
     if (e_.empty() != pending_.empty()) return ::testing::AssertionFailure() << "empty()";
+    const SimTime next = pending_.empty() ? -1 : model_next_time();
+    if (e_.next_event_time() != next)
+      return ::testing::AssertionFailure() << "next_event_time() " << e_.next_event_time()
+                                           << ", model " << next;
     checked_ = fired_.size();
     return ::testing::AssertionSuccess();
   }
@@ -140,6 +162,27 @@ class OrderHarness {
   struct Live {
     Engine::EventId id;
     Key key;
+  };
+
+  /// A target fires under its own negative label, however often it is queued.
+  static constexpr int kTargets = 5;
+  static int target_label(int k) { return -1 - k; }
+  static std::size_t target_index(int label) { return static_cast<std::size_t>(-1 - label); }
+  struct HarnessTarget {
+    HarnessTarget(OrderHarness& h, int l)
+        : label(l),
+          target(
+              h.e_,
+              [](void* self) {
+                auto* t = static_cast<HarnessTarget*>(self);
+                t->harness.fire(t->label);
+              },
+              this),
+          harness(h) {}
+    int label;
+    Engine::Target target;
+    OrderHarness& harness;
+    Engine::EventId id = 0;  // what schedule_at returned, once it has
   };
 
   /// Runs inside the engine: the model's earliest entry is what must fire.
@@ -159,11 +202,12 @@ class OrderHarness {
     int children = roll < 6 ? 0 : roll < 9 ? 1 : 2;
     for (int c = 0; c < children; ++c) {
       SimTime d = rng_.chance(0.5) ? 0 : random_delay();
-      schedule(e_.now() + d, rng_.chance(0.5));
+      schedule(e_.now() + d);
     }
   }
 
   Engine e_;
+  std::vector<std::unique_ptr<HarnessTarget>> targets_;
   Random rng_;
   SimTime now_ = 0;
   std::uint64_t counter_ = 0;
@@ -182,12 +226,12 @@ void random_op(OrderHarness& h) {
   Engine& e = h.engine();
   std::uint64_t op = r.next_below(100);
   if (op < 22) {
-    h.schedule(e.now() + h.random_delay(), /*via_in=*/r.chance(0.5));
+    h.schedule(e.now() + h.random_delay());
   } else if (op < 24) {
     // A burst of at least 1,000 events at one time.
     SimTime t = e.now() + (r.chance(0.3) ? 0 : h.random_delay());
     int n = 1000 + static_cast<int>(r.next_below(500));
-    for (int i = 0; i < n; ++i) h.schedule(t, r.chance(0.5));
+    for (int i = 0; i < n; ++i) h.schedule(t);
   } else if (op < 32) {
     if (!h.model_empty()) h.cancel_label(h.random_live_label());
   } else if (op < 38) {
@@ -224,14 +268,14 @@ void random_op(OrderHarness& h) {
     for (int i = 0; i < n; ++i) {
       SimTime t = horizon + static_cast<SimTime>(
                                 r.next_below(static_cast<std::uint64_t>(next - horizon)));
-      h.schedule(t, r.chance(0.5));
+      h.schedule(t);
     }
   } else {
     // Drain to empty with step(), then schedule again at now().
     if (r.chance(0.5)) {
       for (int guard = 0; guard < 100'000 && !h.model_empty(); ++guard) h.step();
       h.step();  // on an empty queue: returns false
-      h.schedule(e.now(), r.chance(0.5));
+      h.schedule(e.now());
     }
   }
 }

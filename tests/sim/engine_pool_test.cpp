@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -107,6 +108,38 @@ TEST(EnginePool, ChurnIsInvisibleToSurvivingEvents) {
   auto churned = run_scenario(true);
   EXPECT_EQ(plain.first, churned.first);
   EXPECT_EQ(plain.second, churned.second);
+}
+
+TEST(EnginePool, TargetEventsTakeNoSlot) {
+  Engine e;
+  int fired = 0;
+  Engine::Target target(e, [](void* n) { ++*static_cast<int*>(n); }, &fired);
+  e.schedule_at(5, [] {});
+  e.run();
+  const std::size_t slots = e.pool_slots();
+  const std::uint64_t reuses = e.pool_reuses();
+  const std::uint64_t processed = e.events_processed();
+
+  Engine::EventId id = e.schedule_at(10, target);
+  EXPECT_NE(id, 0u);
+  EXPECT_EQ(e.schedule_at(10, target), id);  // pending twice at once
+  e.schedule_at(7, [] {});
+  EXPECT_EQ(e.pool_slots(), slots);
+  EXPECT_EQ(e.pool_reuses(), reuses + 1);  // the slot event alone took one
+  EXPECT_EQ(e.pending_events(), 3u);
+  EXPECT_EQ(e.pending_targets(), 2u);
+  EXPECT_FALSE(e.cancel(id));
+  EXPECT_EQ(e.pending_events(), 3u);
+  EXPECT_THROW(e.schedule_at(4, target), std::logic_error);
+
+  e.run();
+  EXPECT_EQ(fired, 2);
+  EXPECT_EQ(e.events_processed(), processed + 3);
+  EXPECT_EQ(e.pending_events(), 0u);
+  EXPECT_EQ(e.pending_targets(), 0u);
+  EXPECT_EQ(e.pool_slots(), slots);
+  EXPECT_EQ(e.pool_free(), e.pool_slots());
+  EXPECT_EQ(e.now(), 10);
 }
 
 TEST(EnginePool, StatsDistinguishInlineFromHeapActions) {
