@@ -137,5 +137,26 @@ TEST(ScenarioHotPathTest, Soak64SchedulesNoActionOnTheHeap) {
   EXPECT_EQ(sc.net().engine().heap_actions(), 0u);
 }
 
+TEST(ScenarioHotPathTest, Soak64NeverIndexesTheMetricsRegistry) {
+  // Registering a probe is an append until the registry's first read builds
+  // its key index. Without [telemetry] nothing in a scenario reads it, so
+  // set-up never pays for the index: a read added there would undo that.
+  const std::string path = std::string(NECTAR_SOURCE_DIR) + "/examples/scenarios/soak64.ini";
+  {
+    Scenario sc(ScenarioSpec::from_config(Config::parse_file(path)));
+    EXPECT_FALSE(sc.net().metrics().indexed());
+    sc.run();
+    sc.report();
+    EXPECT_FALSE(sc.net().metrics().indexed());
+  }
+  // The sampler reads it at t = 0, so a short run shows the index built.
+  Config cfg = Config::parse_file(path);
+  cfg.set("telemetry", "enabled", "true");
+  cfg.set("scenario", "duration", "10ms");
+  Scenario sc(ScenarioSpec::from_config(cfg));
+  sc.run();
+  EXPECT_TRUE(sc.net().metrics().indexed());
+}
+
 }  // namespace
 }  // namespace nectar::scenario
